@@ -276,8 +276,9 @@ def ase_series(cutoff: float, m: ChannelModel, cfg: SeriesConfig | None = None) 
     # far above the nominal operating range (very large cutoff) the series
     # either keeps growing past the term budget or its alternating terms
     # dwarf the result; evaluate the defining expectation directly there
+    # (written so that a NaN from a singular coefficient also falls back)
     scale = max(abs(val), 1e-12)
-    if tail_mag > 1e-6 * scale or peak > 1e8 * scale:
+    if not (tail_mag <= 1e-6 * scale and peak <= 1e8 * scale):
         return mean_log_excess(cutoff, m) / LN2
     return val
 
@@ -352,12 +353,12 @@ def discrete_power(i: float, region_m: int, policy: BerPolicy) -> float:
 
 def _discrete_constraint(cutoff_star, snr, policy, m, cset):
     sizes = cset.sizes
+    # the upper edge of each rung is the lower edge of the next, so each
+    # boundary's tail E[1/I; I >= size * cutoff_star] is evaluated once
+    tails = [mean_inv_above(s * cutoff_star, m) for s in sizes[1:]] + [0.0]
     total = 0.0
     for i in range(1, len(sizes)):
-        lo = sizes[i] * cutoff_star
-        hi = sizes[i + 1] * cutoff_star if i + 1 < len(sizes) else None
-        v = mean_inv_above(lo, m) - (mean_inv_above(hi, m) if hi else 0.0)
-        total += (sizes[i] - 1.0) * v
+        total += (sizes[i] - 1.0) * (tails[i - 1] - tails[i])
     return total - policy.k_margin * snr.snr_linear
 
 
@@ -436,14 +437,21 @@ def adaptive_required_snr(
     m: ChannelModel,
     cfg: SeriesConfig | None = None,
 ) -> SnrSpec:
-    """SNR at which the continuous-rate limit reaches the requested efficiency."""
+    """SNR at which the continuous-rate limit reaches the requested efficiency.
+
+    Both the limit and its SNR are explicit in the cutoff: ASE(cutoff) is
+    the closed form and SNR(cutoff) = E[(1/cutoff - 1/I)^+] / k_margin.
+    The ASE falls monotonically in the cutoff, so ASE(cutoff) = target_rb
+    has a single root; it is bracketed and solved like the power
+    constraint's cutoff, and the SNR is evaluated there once.  Answers
+    outside [-30, 80] dB raise SolverBracketError.
+    """
     if not target_rb > 0:
         raise ValueError(f"target_rb must be > 0, got {target_rb}")
 
-    def res(snr_db):
-        return ase_limit(SnrSpec.from_db(snr_db), policy, m, cfg).ase_bits - target_rb
-
-    lo, hi = -30.0, 80.0
-    if res(lo) > 0 or res(hi) < 0:
-        raise SolverBracketError("adaptive-rate SNR bracket failed")
-    return SnrSpec.from_db(brentq(res, lo, hi, xtol=1e-9, maxiter=200))
+    fun = lambda c: ase_series(c, m, cfg) - target_rb
+    cutoff, _ = _bracket_and_solve(fun)
+    snr_linear = mean_excess_inv(cutoff, m) / policy.k_margin
+    if not 1e-3 <= snr_linear <= 1e8:  # -30 to 80 dB
+        raise SolverBracketError("adaptive-rate SNR outside [-30, 80] dB")
+    return SnrSpec.from_linear(snr_linear)

@@ -538,9 +538,8 @@ def mean_inv_above(threshold: float, m: ChannelModel) -> float:
 
     def integrand(t):
         lo = min(threshold / t, a0)
-        inner = (xi2 / ((xi2 - 1.0) * t * a0**xi2)) * (
-            a0 ** (xi2 - 1.0) - lo ** (xi2 - 1.0)
-        )
+        # divided through by a0^xi2, which underflows for strong pointing
+        inner = (xi2 / ((xi2 - 1.0) * t * a0)) * (1.0 - (lo / a0) ** (xi2 - 1.0))
         return inner * _gg_pdf_fast(t, a, b)
 
     val, _ = quad(integrand, threshold / a0, np.inf, **_QUAD_OPTS)

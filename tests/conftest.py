@@ -7,6 +7,8 @@ is swept via the structure parameter so the Rytov variance hits
 and without the misalignment model.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from fso_adapt import (
@@ -43,16 +45,23 @@ def reference_geometry(sigma_r2: float) -> LinkGeometry:
     )
 
 
+def reference_model(sigma_r2: float, pointing: bool = True, jitter_m: float = 0.01):
+    """Reference-geometry channel at the given strength and jitter."""
+    geom = replace(reference_geometry(sigma_r2), jitter_sigma_m=jitter_m)
+    turb = gg_params(rytov_variance(geom))
+    if not pointing:
+        return ChannelModel.gg_only(turb)
+    wl = beam_waist_at_rx(geom)
+    pp = pointing_params(geom.rx_aperture_radius_m, wl, geom.jitter_sigma_m)
+    return ChannelModel.with_pointing(turb, pp)
+
+
 def build_models() -> dict:
     """All six (strength x pointing) reference channel models."""
     models = {}
     for name, sr2 in SIGMA_R2.items():
-        geom = reference_geometry(sr2)
-        turb = gg_params(rytov_variance(geom))
-        models[f"{name}_gg"] = ChannelModel.gg_only(turb)
-        wl = beam_waist_at_rx(geom)
-        pp = pointing_params(geom.rx_aperture_radius_m, wl, geom.jitter_sigma_m)
-        models[f"{name}_pe"] = ChannelModel.with_pointing(turb, pp)
+        models[f"{name}_gg"] = reference_model(sr2, pointing=False)
+        models[f"{name}_pe"] = reference_model(sr2)
     return models
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fso_adapt import adapt
 from fso_adapt.adapt import (
     LN2,
     AdaptiveSolution,
@@ -25,7 +26,14 @@ from fso_adapt.adapt import (
     solve_cutoff_continuous,
     solve_cutoff_discrete,
 )
-from fso_adapt.channel import mean_excess_inv, mean_log_excess, sample_irradiance
+from fso_adapt.channel import (
+    mean_excess_inv,
+    mean_inv_above,
+    mean_log_excess,
+    sample_irradiance,
+)
+
+from conftest import reference_model
 
 
 # required-SNR spot references (dB) for a 1e-3 average BER target,
@@ -41,6 +49,10 @@ REQUIRED_SNR_SPOTS = [
     (10.0, "weak_gg", 39.3, 36.3),
     (10.0, "strong_pe", 51.6, 43.4),
 ]
+
+# alpha - beta = 2 on the reference geometry: the cosec coefficient of the
+# closed-form series is singular there
+SIGMA_R2_INTEGER_ORDER = 1.3490433908855886
 
 
 class TestBerPolicy:
@@ -163,6 +175,16 @@ class TestAseSeries:
     def test_invalid_cutoff(self, models):
         with pytest.raises(ValueError):
             ase_series(0.0, models["weak_gg"])
+
+    @pytest.mark.parametrize("pointing", [True, False])
+    def test_integer_order_falls_back(self, policy, pointing):
+        # the singular series coefficient yields NaN, which must route to
+        # quadrature rather than pass the convergence guard
+        m = reference_model(SIGMA_R2_INTEGER_ORDER, pointing)
+        cutoff = solve_cutoff_continuous(SnrSpec.from_db(15.0), policy, m).cutoff
+        series = ase_series(cutoff, m)
+        assert math.isfinite(series)
+        assert series == pytest.approx(mean_log_excess(cutoff, m) / LN2, abs=1e-6)
 
 
 class TestAseLimit:
@@ -288,6 +310,38 @@ class TestDiscreteScheme:
         fine = discrete_ase(snr, policy, m, cfg=series_cfg_hi).ase_bits
         assert fine > coarse
 
+    def test_constraint_evaluates_each_boundary_once(self, models, policy, monkeypatch):
+        m = models["strong_pe"]
+        snr = SnrSpec.from_db(15.0)
+        cset = ConstellationSet()
+        cutoff = 0.05
+        # the constraint as a sum over rungs, each edge evaluated on its own
+        sizes = cset.sizes
+        per_rung = -policy.k_margin * snr.snr_linear
+        for i in range(1, len(sizes)):
+            v = mean_inv_above(sizes[i] * cutoff, m)
+            if i + 1 < len(sizes):
+                v -= mean_inv_above(sizes[i + 1] * cutoff, m)
+            per_rung += (sizes[i] - 1.0) * v
+        calls = []
+
+        def counting(threshold, model):
+            calls.append(threshold)
+            return mean_inv_above(threshold, model)
+
+        monkeypatch.setattr(adapt, "mean_inv_above", counting)
+        val = adapt._discrete_constraint(cutoff, snr, policy, m, cset)
+        assert len(calls) == len(sizes) - 1
+        assert val == pytest.approx(per_rung, rel=1e-12, abs=1e-15)
+
+    def test_strong_pointing_does_not_underflow(self, policy):
+        # a0^xi2 underflows to 0.0 here (xi2 in the hundreds)
+        m = reference_model(12.0, jitter_m=0.003)
+        snr = SnrSpec.from_db(15.0)
+        disc = discrete_ase(snr, policy, m).ase_bits
+        assert math.isfinite(disc)
+        assert 0.0 <= disc <= ase_limit(snr, policy, m).ase_bits
+
 
 class TestRequiredSnr:
     @pytest.mark.parametrize("rb,key,ref_fixed,ref_adapt", REQUIRED_SNR_SPOTS)
@@ -326,6 +380,21 @@ class TestRequiredSnr:
             fixed_required_snr(2.0, 0.5, models["weak_gg"])
         with pytest.raises(ValueError):
             adaptive_required_snr(-1.0, policy, models["weak_gg"])
+
+    @pytest.mark.parametrize("key", ["weak_gg", "strong_gg", "weak_pe", "strong_pe"])
+    def test_round_trip(self, models, policy, key):
+        # the continuous-rate limit at the returned SNR is the requested rate
+        m = models[key]
+        for rb in (2.0, 6.0, 10.0):
+            snr = adaptive_required_snr(rb, policy, m)
+            assert ase_limit(snr, policy, m).ase_bits == pytest.approx(rb, abs=1e-8)
+
+    @pytest.mark.parametrize("rb", [40.0, 1e-4, 1000.0])
+    def test_outside_snr_window(self, models, policy, rb):
+        # 40 bits needs more than 80 dB, 1e-4 bits less than -30 dB; the
+        # cutoff for 1000 bits lies beyond the bracket search
+        with pytest.raises(SolverBracketError):
+            adaptive_required_snr(rb, policy, models["weak_gg"])
 
 
 class TestBerGuarantee:
