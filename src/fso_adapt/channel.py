@@ -21,7 +21,6 @@ from scipy.integrate import quad
 from .specfun import (
     SeriesConfig,
     SingularOrderError,
-    bessel_k_frac,
     ln_gamma,
     sample_gamma,
 )
@@ -231,46 +230,37 @@ def pointing_params(
 # densities
 
 
-def gg_pdf(ia: float, t: TurbulenceParams, cfg: SeriesConfig | None = None) -> float:
+def _gg_density(t: TurbulenceParams):
+    """Gamma-gamma density of I_a as a scalar function, constants bound once.
+
+    f(x) = c x^e K_nu(z) with z = sqrt(4 a b x), evaluated in the log
+    domain through the exponentially scaled Bessel function, so neither
+    the tail nor a large order under- or overflows before the last exp.
+    K of integer order needs no special case.
+    """
+    a, b = t.alpha, t.beta
+    ln_c = math.log(2.0) + 0.5 * (a + b) * math.log(a * b) - ln_gamma(a) - ln_gamma(b)
+    e = 0.5 * (a + b) - 1.0
+    nu = a - b
+    four_ab = 4.0 * a * b
+
+    def pdf(x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        z = math.sqrt(four_ab * x)
+        k = special.kve(nu, z)
+        if not k > 0.0:
+            return 0.0
+        return math.exp(ln_c + e * math.log(x) - z + math.log(k))
+
+    return pdf
+
+
+def gg_pdf(ia: float, t: TurbulenceParams) -> float:
     """Gamma-gamma density of the turbulence fluctuation I_a."""
-    cfg = cfg or SeriesConfig()
     if ia < 0:
         raise ValueError(f"ia must be >= 0, got {ia}")
-    if ia == 0.0:
-        return 0.0
-    a, b = t.alpha, t.beta
-    ln_c = (
-        math.log(2.0)
-        + 0.5 * (a + b) * math.log(a * b)
-        - ln_gamma(a)
-        - ln_gamma(b)
-    )
-    arg = 2.0 * math.sqrt(a * b * ia)
-    k = bessel_k_frac(a - b, arg, cfg)
-    if k <= 0.0:
-        return 0.0
-    return math.exp(ln_c + (0.5 * (a + b) - 1.0) * math.log(ia) + math.log(k))
-
-
-def _gg_pdf_fast(ia, alpha, beta):
-    """Vector-friendly gamma-gamma density used inside quadrature loops."""
-    ia = np.asarray(ia, dtype=float)
-    out = np.zeros_like(ia)
-    m = ia > 0
-    if np.any(m):
-        x = 2.0 * np.sqrt(alpha * beta * ia[m])
-        ln_c = (
-            math.log(2.0)
-            + 0.5 * (alpha + beta) * math.log(alpha * beta)
-            - ln_gamma(alpha)
-            - ln_gamma(beta)
-        )
-        # scaled Bessel avoids underflow deep in the tail
-        kve = special.kve(alpha - beta, x)
-        out[m] = np.exp(
-            ln_c + (0.5 * (alpha + beta) - 1.0) * np.log(ia[m]) - x + np.log(kve)
-        )
-    return out if out.ndim else float(out)
+    return _gg_density(t)(ia)
 
 
 def _series_coeff_ln(k: int, x: float, xb: float, xi2: float, eps: float):
@@ -361,10 +351,9 @@ def _composite_series(
     if cumulative:
         val = e_neg * u**xi2 + xi2 * float(total)
     else:
-        val = (
-            xi2 * i ** (xi2 - 1.0) * a0 ** (-xi2) * e_neg
-            + xi2 / a0 * float(total)
-        )
+        # xi2 i^(xi2-1) a0^-xi2 written through u <= 1, so that a strong
+        # pointing model underflows to 0 instead of overflowing a0^-xi2
+        val = xi2 / i * u**xi2 * e_neg + xi2 / a0 * float(total)
     # with large shape parameters the expansion can outgrow the term
     # budget, or its alternating terms can swamp the result; signal the
     # caller to integrate directly instead of returning the garbage
@@ -382,10 +371,11 @@ def _composite_pdf_quad(i: float, m: ChannelModel) -> float:
     """
     p = m.pointing
     xi2, a0 = p.xi2, p.a0
+    pdf = _gg_density(m.turbulence)
 
     def integrand(w):
         ip = a0 * w ** (1.0 / xi2)
-        return _gg_pdf_fast(i / ip, m.alpha, m.beta) / ip
+        return pdf(i / ip) / ip
 
     val, _ = quad(integrand, 0.0, 1.0, **_QUAD_OPTS)
     return val
@@ -397,7 +387,7 @@ def composite_pdf(i: float, m: ChannelModel, cfg: SeriesConfig | None = None) ->
     if i < 0:
         raise ValueError(f"i must be >= 0, got {i}")
     if m.variant is Variant.GG_ONLY:
-        return gg_pdf(i, m.turbulence, cfg)
+        return gg_pdf(i, m.turbulence)
     if i == 0.0:
         return 0.0
     if i <= m.pointing.a0:
@@ -413,9 +403,9 @@ def composite_cdf(i: float, m: ChannelModel, cfg: SeriesConfig | None = None) ->
     cfg = cfg or SeriesConfig()
     if i <= 0:
         return 0.0
-    a, b = m.alpha, m.beta
+    pdf = _gg_density(m.turbulence)
     if m.variant is Variant.GG_ONLY:
-        val, _ = quad(lambda t: _gg_pdf_fast(t, a, b), 0.0, i, **_QUAD_OPTS)
+        val, _ = quad(pdf, 0.0, i, **_QUAD_OPTS)
         return min(max(val, 0.0), 1.0)
     a0, xi2 = m.pointing.a0, m.pointing.xi2
     if i <= a0:
@@ -425,10 +415,8 @@ def composite_cdf(i: float, m: ChannelModel, cfg: SeriesConfig | None = None) ->
     # P(I <= i) = P(I_a <= i/A0) + (i/A0)^xi2 E[I_a^-xi2; I_a > i/A0],
     # valid on the whole support
     lo = i / a0
-    p1, _ = quad(lambda t: _gg_pdf_fast(t, a, b), 0.0, lo, **_QUAD_OPTS)
-    p2, _ = quad(
-        lambda t: _gg_pdf_fast(t, a, b) * (lo / t) ** xi2, lo, np.inf, **_QUAD_OPTS
-    )
+    p1, _ = quad(pdf, 0.0, lo, **_QUAD_OPTS)
+    p2, _ = quad(lambda t: pdf(t) * (lo / t) ** xi2, lo, np.inf, **_QUAD_OPTS)
     return min(max(p1 + p2, 0.0), 1.0)
 
 
@@ -476,13 +464,10 @@ def mean_excess_inv(cutoff: float, m: ChannelModel) -> float:
     """E[(1/cutoff - 1/I)^+], the average-power functional of the cutoff."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    a, b = m.alpha, m.beta
+    pdf = _gg_density(m.turbulence)
     if m.variant is Variant.GG_ONLY:
         val, _ = quad(
-            lambda t: (1.0 / cutoff - 1.0 / t) * _gg_pdf_fast(t, a, b),
-            cutoff,
-            np.inf,
-            **_QUAD_OPTS,
+            lambda t: (1.0 / cutoff - 1.0 / t) * pdf(t), cutoff, np.inf, **_QUAD_OPTS
         )
         return val
     a0 = m.pointing.a0
@@ -493,7 +478,7 @@ def mean_excess_inv(cutoff: float, m: ChannelModel) -> float:
         inner = (1.0 / cutoff) * (1.0 - u**xi2) - (
             xi2 / ((xi2 - 1.0) * t * a0)
         ) * (1.0 - u ** (xi2 - 1.0))
-        return inner * _gg_pdf_fast(t, a, b)
+        return inner * pdf(t)
 
     val, _ = quad(integrand, cutoff / a0, np.inf, **_QUAD_OPTS)
     return val
@@ -503,21 +488,18 @@ def mean_log_excess(cutoff: float, m: ChannelModel) -> float:
     """E[(ln(I/cutoff))^+] in nats."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    a, b = m.alpha, m.beta
+    pdf = _gg_density(m.turbulence)
     if m.variant is Variant.GG_ONLY:
         val, _ = quad(
-            lambda t: np.log(t / cutoff) * _gg_pdf_fast(t, a, b),
-            cutoff,
-            np.inf,
-            **_QUAD_OPTS,
+            lambda t: math.log(t / cutoff) * pdf(t), cutoff, np.inf, **_QUAD_OPTS
         )
         return val
     a0, xi2 = m.pointing.a0, m.pointing.xi2
 
     def integrand(t):
         u = cutoff / (a0 * t)
-        inner = np.log(a0 * t / cutoff) - 1.0 / xi2 + u**xi2 / xi2
-        return inner * _gg_pdf_fast(t, a, b)
+        inner = math.log(a0 * t / cutoff) - 1.0 / xi2 + u**xi2 / xi2
+        return inner * pdf(t)
 
     val, _ = quad(integrand, cutoff / a0, np.inf, **_QUAD_OPTS)
     return val
@@ -527,11 +509,9 @@ def mean_inv_above(threshold: float, m: ChannelModel) -> float:
     """E[I^-1 ; I >= threshold]."""
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    a, b = m.alpha, m.beta
+    pdf = _gg_density(m.turbulence)
     if m.variant is Variant.GG_ONLY:
-        val, _ = quad(
-            lambda t: _gg_pdf_fast(t, a, b) / t, threshold, np.inf, **_QUAD_OPTS
-        )
+        val, _ = quad(lambda t: pdf(t) / t, threshold, np.inf, **_QUAD_OPTS)
         return val
     a0 = m.pointing.a0
     xi2 = _safe_xi2(m.pointing.xi2)
@@ -540,7 +520,7 @@ def mean_inv_above(threshold: float, m: ChannelModel) -> float:
         lo = min(threshold / t, a0)
         # divided through by a0^xi2, which underflows for strong pointing
         inner = (xi2 / ((xi2 - 1.0) * t * a0)) * (1.0 - (lo / a0) ** (xi2 - 1.0))
-        return inner * _gg_pdf_fast(t, a, b)
+        return inner * pdf(t)
 
     val, _ = quad(integrand, threshold / a0, np.inf, **_QUAD_OPTS)
     return val
@@ -552,11 +532,9 @@ def mean_exp_neg(s: float, m: ChannelModel) -> float:
         raise ValueError(f"s must be >= 0, got {s}")
     if s == 0.0:
         return 1.0
-    a, b = m.alpha, m.beta
+    pdf = _gg_density(m.turbulence)
     if m.variant is Variant.GG_ONLY:
-        val, _ = quad(
-            lambda t: np.exp(-s * t) * _gg_pdf_fast(t, a, b), 0.0, np.inf, **_QUAD_OPTS
-        )
+        val, _ = quad(lambda t: math.exp(-s * t) * pdf(t), 0.0, np.inf, **_QUAD_OPTS)
         return val
     a0, xi2 = m.pointing.a0, m.pointing.xi2
     ln_pref = math.log(xi2) + special.gammaln(xi2)
@@ -568,7 +546,7 @@ def mean_exp_neg(s: float, m: ChannelModel) -> float:
         else:
             reg = special.gammainc(xi2, z)  # regularized lower incomplete gamma
             inner = math.exp(ln_pref - xi2 * math.log(z)) * reg if reg > 0 else 0.0
-        return inner * _gg_pdf_fast(t, a, b)
+        return inner * pdf(t)
 
     val, _ = quad(integrand, 0.0, np.inf, **_QUAD_OPTS)
     return val

@@ -12,7 +12,7 @@ from fso_adapt.channel import (
     PointingParams,
     TurbulenceParams,
     Variant,
-    _gg_pdf_fast,
+    _composite_pdf_quad,
     beam_waist_at_rx,
     composite_cdf,
     composite_pdf,
@@ -29,7 +29,7 @@ from fso_adapt.channel import (
 )
 from fso_adapt.specfun import SeriesConfig, SingularOrderError
 
-from conftest import reference_geometry
+from conftest import reference_geometry, reference_model
 
 
 # frozen reference parameter sets for the three turbulence strengths
@@ -49,7 +49,7 @@ def nested_mixture_pdf(i, m):
 
     def inner(ip):
         mix = xi2 / a0**xi2 * ip ** (xi2 - 1.0)
-        return _gg_pdf_fast(i / ip, m.alpha, m.beta) / ip * mix
+        return gg_pdf(i / ip, m.turbulence) / ip * mix
 
     val, _ = quad(inner, 0.0, a0, limit=400, epsabs=1e-14, epsrel=1e-12)
     return val
@@ -207,15 +207,22 @@ class TestGgPdf:
     @pytest.mark.parametrize("key", ["weak_gg", "moderate_gg", "strong_gg"])
     def test_normalization(self, models, key):
         t = models[key].turbulence
-        total, _ = quad(lambda i: _gg_pdf_fast(i, t.alpha, t.beta), 0, np.inf, limit=300)
+        total, _ = quad(lambda i: gg_pdf(i, t), 0, np.inf, limit=300)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_unit_mean(self, models):
         t = models["weak_gg"].turbulence
-        mean, _ = quad(
-            lambda i: i * _gg_pdf_fast(i, t.alpha, t.beta), 0, np.inf, limit=300
-        )
+        mean, _ = quad(lambda i: i * gg_pdf(i, t), 0, np.inf, limit=300)
         assert mean == pytest.approx(1.0, abs=1e-8)
+
+    def test_integer_shape_gap(self):
+        # alpha - beta = 2: the Bessel function has integer order
+        t = TurbulenceParams(alpha=4.0, beta=2.0, rytov_var=1.0)
+        a, b = t.alpha, t.beta
+        c = 2.0 * (a * b) ** (0.5 * (a + b)) / (math.gamma(a) * math.gamma(b))
+        for ia in (0.05, 0.5, 1.0, 2.5, 6.0):
+            expect = c * ia ** (0.5 * (a + b) - 1.0) * kv(a - b, 2.0 * math.sqrt(a * b * ia))
+            assert gg_pdf(ia, t) == pytest.approx(float(expect), rel=1e-9)
 
     def test_zero_and_negative(self, models):
         t = models["weak_gg"].turbulence
@@ -272,6 +279,13 @@ class TestCompositePdf:
         )
         assert head + tail == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("i", [1e-4, 1e-3, 0.01, 0.04])
+    def test_strong_pointing_does_not_overflow(self, i):
+        # sigma_r2 = 12 with 3 mm jitter: a0 = 0.0479 and xi2 = 464, where
+        # a0**-xi2 overflows; the series must still agree with quadrature
+        m = reference_model(12.0, pointing=True, jitter_m=0.003)
+        assert composite_pdf(i, m) == pytest.approx(_composite_pdf_quad(i, m), rel=1e-9)
+
     def test_gg_limit_collapse(self, models):
         # a near-unity collection limit and enormous xi2 pin I_p to 1, so the
         # composite law must collapse to the bare turbulence density
@@ -281,7 +295,7 @@ class TestCompositePdf:
         cfg = SeriesConfig(max_terms=60)
         for i in (0.2, 0.8, 2.0, 5.0):
             assert composite_pdf(i, m, cfg) == pytest.approx(
-                gg_pdf(i, t, cfg), rel=1e-3
+                gg_pdf(i, t), rel=1e-3
             )
 
     def test_gg_only_dispatch(self, models):
@@ -449,8 +463,3 @@ class TestSingularityGuards:
         m = ChannelModel.with_pointing(t, pp)
         with pytest.raises(SingularOrderError):
             composite_pdf(0.3, m, SeriesConfig(singularity_eps=1e-6))
-
-    def test_near_integer_shape_gap(self):
-        t = TurbulenceParams(alpha=4.0, beta=2.0, rytov_var=1.0)
-        with pytest.raises(SingularOrderError):
-            gg_pdf(0.5, t)
