@@ -34,7 +34,7 @@ sr2 = rytov_variance(geom)
 turb = gg_params(sr2)
 wl = beam_waist_at_rx(geom)
 pp = pointing_params(geom.rx_aperture_radius_m, wl, geom.jitter_sigma_m)
-model = ChannelModel.with_pointing(turb, pp)
+model = ChannelModel(turb, pp)
 
 print("link geometry")
 print(f"  path length        {geom.length_m:8.1f} m")

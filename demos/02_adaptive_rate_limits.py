@@ -27,11 +27,11 @@ def build(sr2, with_pe):
     geom = config.geometry(sr2)
     turb = gg_params(rytov_variance(geom))
     if not with_pe:
-        return ChannelModel.gg_only(turb)
+        return ChannelModel(turb)
     pp = pointing_params(
         geom.rx_aperture_radius_m, beam_waist_at_rx(geom), geom.jitter_sigma_m
     )
-    return ChannelModel.with_pointing(turb, pp)
+    return ChannelModel(turb, pp)
 
 
 for sr2, label in ((0.4, "weak"), (2.0, "strong")):

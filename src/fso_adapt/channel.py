@@ -151,16 +151,6 @@ class ChannelModel:
     def beta(self) -> float:
         return self.turbulence.beta
 
-    @classmethod
-    def gg_only(cls, turbulence: TurbulenceParams) -> "ChannelModel":
-        return cls(turbulence=turbulence)
-
-    @classmethod
-    def with_pointing(
-        cls, turbulence: TurbulenceParams, pointing: PointingParams
-    ) -> "ChannelModel":
-        return cls(turbulence=turbulence, pointing=pointing)
-
 
 # ---------------------------------------------------------------------------
 # parameter derivation
@@ -263,23 +253,24 @@ def gg_pdf(ia: float, t: TurbulenceParams) -> float:
     return _gg_density(t)(ia)
 
 
-def _series_coeff_ln(k: int, x: float, xb: float, xi2: float, eps: float):
-    """(sign, ln magnitude) of the k-th composite-series coefficient.
+def _misalignment(m: ChannelModel) -> tuple[float, float]:
+    """(A0, xi2) of the misalignment factor; (1, inf) pins I_p to 1."""
+    if m.pointing is None:
+        return 1.0, math.inf
+    return m.pointing.a0, m.pointing.xi2
 
-    Coefficient: cosec(pi(xb-x)) * pi * (x*xb)^(k+xb)
-                 / (Gamma(x) Gamma(xb) Gamma(k-x+xb+1) (k+xb-xi2) k!)
+
+def _gg_coeff_ln(k: int, x: float, xb: float):
+    """(sign, ln magnitude) of the k-th gamma-gamma residue coefficient.
+
+    Coefficient: cosec(pi(x-xb)) * pi * (x*xb)^(k+xb)
+                 / (Gamma(x) Gamma(xb) Gamma(k-x+xb+1) k!)
     """
-    den = k + xb - xi2
-    if abs(den) < eps:
-        raise SingularOrderError(
-            f"series denominator k+xb-xi2 = {den} within {eps} of zero at k={k}; "
-            "perturb xi2"
-        )
-    s = math.sin(math.pi * (xb - x))
+    s = math.sin(math.pi * (x - xb))
     if abs(s) < 1e-300:
         raise SingularOrderError("alpha - beta too close to an integer; perturb beta")
     g_arg = k - x + xb + 1.0
-    sign = math.copysign(1.0, s) * special.gammasgn(g_arg) * math.copysign(1.0, den)
+    sign = math.copysign(1.0, s) * special.gammasgn(g_arg)
     ln_mag = (
         math.log(math.pi)
         - math.log(abs(s))
@@ -287,7 +278,6 @@ def _series_coeff_ln(k: int, x: float, xb: float, xi2: float, eps: float):
         - ln_gamma(x)
         - ln_gamma(xb)
         - special.gammaln(g_arg)
-        - math.log(abs(den))
         - math.lgamma(k + 1)
     )
     return sign, ln_mag
@@ -311,74 +301,101 @@ def _neg_moment_coeff(alpha: float, beta: float, xi2: float) -> float:
     return sign * math.exp(ln_mag)
 
 
-def _composite_series(
-    i: float, m: ChannelModel, cfg: SeriesConfig, *, cumulative: bool
-) -> float:
-    """Power-series evaluation of the composite density or distribution.
+def _residue_series(c: float, m: ChannelModel, cfg: SeriesConfig, order: int):
+    """Residue series of the composite law at c, weighted by 1/p^order.
 
-    Valid for 0 < i <= A0.  The double sum over k and the two shape
-    parameters is completed by the power-law pole term that the term-wise
-    expansion of the conditional integral leaves behind; without it the
-    series does not integrate to one.
+    The Mellin transform of I = I_a I_p is the gamma-gamma transform times
+    the misalignment factor xi2/(xi2+s), so every closed form is one sum
+    over the gamma-gamma poles p = k + xb of both shape families,
+
+        sum_k g_k (c/A0)^p / ((1 - p/xi2) p^order),
+
+    plus, with pointing, the misalignment pole E[I_a^-xi2] (c/A0)^xi2
+    xi2^(1-order).  Order 0 is c times the density, order 1 the
+    distribution and order 2 the log-moment part of E[(ln(I/c))^+].
+    Meant for 0 < c <= A0.  Returns (value, tail, peak): the value, the
+    magnitude of the last term kept (0 once the sum has converged) and
+    the largest term, all in the value's units, for _series_accepts.
     """
-    a, b = m.alpha, m.beta
-    p = m.pointing
-    xi2, a0 = p.xi2, p.a0
-    u = i / a0
-    ln_u = math.log(u)
+    a0, xi2 = _misalignment(m)
+    ln_u = math.log(c / a0)
     total = np.longdouble(0.0)
-    tail_mag = 0.0
+    tail = 0.0
     peak = 0.0
     for k in range(cfg.max_terms):
         term = np.longdouble(0.0)
         mag = 0.0
-        for x, xb in ((a, b), (b, a)):
-            sign, ln_mag = _series_coeff_ln(k, x, xb, xi2, cfg.singularity_eps)
-            pw = k + xb
-            if cumulative:
-                t = sign * math.exp(ln_mag + pw * ln_u) / pw
-            else:
-                t = sign * math.exp(ln_mag + (pw - 1.0) * ln_u)
+        for x, xb in ((m.alpha, m.beta), (m.beta, m.alpha)):
+            p = k + xb
+            if abs(p - xi2) < cfg.singularity_eps:
+                raise SingularOrderError(
+                    f"pole k+xb = {p} within {cfg.singularity_eps} of xi2 at k={k}"
+                )
+            sign, ln_mag = _gg_coeff_ln(k, x, xb)
+            t = sign * math.exp(ln_mag + p * ln_u) / ((1.0 - p / xi2) * p**order)
             term += np.longdouble(t)
             mag = max(mag, abs(t))
         total += term
-        tail_mag = mag
+        tail = mag
         peak = max(peak, mag)
         if k > 0 and mag < cfg.convergence_tol * abs(float(total)):
-            tail_mag = 0.0
+            tail = 0.0
             break
-    e_neg = _neg_moment_coeff(a, b, xi2)
-    if cumulative:
-        val = e_neg * u**xi2 + xi2 * float(total)
-    else:
-        # xi2 i^(xi2-1) a0^-xi2 written through u <= 1, so that a strong
-        # pointing model underflows to 0 instead of overflowing a0^-xi2
-        val = xi2 / i * u**xi2 * e_neg + xi2 / a0 * float(total)
-    # with large shape parameters the expansion can outgrow the term
-    # budget, or its alternating terms can swamp the result; signal the
-    # caller to integrate directly instead of returning the garbage
+    val = float(total)
+    # without pointing xi2 = inf and the misalignment pole is absent
+    if m.pointing is not None:
+        e_neg = _neg_moment_coeff(m.alpha, m.beta, xi2)
+        val += e_neg * math.exp(xi2 * ln_u) * xi2 ** (1 - order)
+    return val, tail, peak
+
+
+def _series_accepts(val: float, tail: float, peak: float, tol: float) -> bool:
+    """Whether a residue-series value can be trusted.
+
+    With large shape parameters, or far from the origin, the expansion can
+    outgrow the term budget or its alternating terms can swamp the result;
+    the caller then integrates directly.  Written so that a NaN from a
+    singular coefficient fails the test.
+    """
     scale = max(abs(val), 1e-12)
-    ok = tail_mag <= 1e-7 * scale and peak <= 1e8 * scale
-    return val, ok
+    return tail <= tol * scale and peak <= 1e8 * scale
+
+
+def _mixture_quad(lo: float, m: ChannelModel) -> float:
+    """lo^xi2 E[I_a^-xi2; I_a > lo] by quadrature over the gamma-gamma density.
+
+    This is int_lo^inf f_a(t) (lo/t)^xi2 dt, what is left of the mixture
+    over the misalignment factor once that is integrated out in closed
+    form.  Its weight falls by e^-50 within t - lo = 50 lo/xi2, a
+    boundary layer that quad steps over for large xi2 unless the range is
+    split at its edge.
+    """
+    xi2 = m.pointing.xi2
+    pdf = _gg_density(m.turbulence)
+    edge = lo * (1.0 + 50.0 / xi2)
+    weighted = lambda t: pdf(t) * (lo / t) ** xi2
+    layer, _ = quad(weighted, lo, edge, **_QUAD_OPTS)
+    rest, _ = quad(weighted, edge, np.inf, **_QUAD_OPTS)
+    return layer + rest
 
 
 def _composite_pdf_quad(i: float, m: ChannelModel) -> float:
-    """Density by quadrature of the conditional-mixture integral.
+    """Density by quadrature, valid on the whole support.
 
-    Substituting w = (I_p/A0)^xi2 turns the mixture over the misalignment
-    factor into a smooth integral on (0, 1], well behaved even for very
-    large xi2 where the direct form is a needle-shaped integrand.
+    f(i) = (xi2/i) int_(i/A0)^inf f_a(t) (i/(A0 t))^xi2 dt, the derivative
+    of the distribution function below.
     """
-    p = m.pointing
-    xi2, a0 = p.xi2, p.a0
-    pdf = _gg_density(m.turbulence)
+    return m.pointing.xi2 / i * _mixture_quad(i / m.pointing.a0, m)
 
-    def integrand(w):
-        ip = a0 * w ** (1.0 / xi2)
-        return pdf(i / ip) / ip
 
-    val, _ = quad(integrand, 0.0, 1.0, **_QUAD_OPTS)
-    return val
+def _composite_cdf_quad(i: float, m: ChannelModel) -> float:
+    """Distribution function by quadrature, valid on the whole support.
+
+    P(I <= i) = P(I_a <= i/A0) + (i/A0)^xi2 E[I_a^-xi2; I_a > i/A0].
+    """
+    lo = i / m.pointing.a0
+    head, _ = quad(_gg_density(m.turbulence), 0.0, lo, **_QUAD_OPTS)
+    return head + _mixture_quad(lo, m)
 
 
 def composite_pdf(i: float, m: ChannelModel, cfg: SeriesConfig | None = None) -> float:
@@ -386,14 +403,15 @@ def composite_pdf(i: float, m: ChannelModel, cfg: SeriesConfig | None = None) ->
     cfg = cfg or SeriesConfig()
     if i < 0:
         raise ValueError(f"i must be >= 0, got {i}")
-    if m.variant is Variant.GG_ONLY:
+    if m.pointing is None:
+        # the gamma-gamma density has an exact Bessel closed form
         return gg_pdf(i, m.turbulence)
     if i == 0.0:
         return 0.0
     if i <= m.pointing.a0:
-        val, ok = _composite_series(i, m, cfg, cumulative=False)
-        if ok:
-            return max(val, 0.0)
+        val, tail, peak = _residue_series(i, m, cfg, 0)
+        if _series_accepts(val / i, tail / i, peak / i, 1e-7):
+            return max(val / i, 0.0)
     # beyond the series' comfortable range: fall back to quadrature
     return _composite_pdf_quad(i, m)
 
@@ -403,21 +421,16 @@ def composite_cdf(i: float, m: ChannelModel, cfg: SeriesConfig | None = None) ->
     cfg = cfg or SeriesConfig()
     if i <= 0:
         return 0.0
-    pdf = _gg_density(m.turbulence)
-    if m.variant is Variant.GG_ONLY:
-        val, _ = quad(pdf, 0.0, i, **_QUAD_OPTS)
+    if m.pointing is None:
+        # gamma-gamma keeps quadrature: residue-series values that pass
+        # the guard still drift from it by up to 4.8e-7 near i = 0.9
+        val, _ = quad(_gg_density(m.turbulence), 0.0, i, **_QUAD_OPTS)
         return min(max(val, 0.0), 1.0)
-    a0, xi2 = m.pointing.a0, m.pointing.xi2
-    if i <= a0:
-        val, ok = _composite_series(i, m, cfg, cumulative=True)
-        if ok:
+    if i <= m.pointing.a0:
+        val, tail, peak = _residue_series(i, m, cfg, 1)
+        if _series_accepts(val, tail, peak, 1e-7):
             return min(max(val, 0.0), 1.0)
-    # P(I <= i) = P(I_a <= i/A0) + (i/A0)^xi2 E[I_a^-xi2; I_a > i/A0],
-    # valid on the whole support
-    lo = i / a0
-    p1, _ = quad(pdf, 0.0, lo, **_QUAD_OPTS)
-    p2, _ = quad(lambda t: pdf(t) * (lo / t) ** xi2, lo, np.inf, **_QUAD_OPTS)
-    return min(max(p1 + p2, 0.0), 1.0)
+    return min(max(_composite_cdf_quad(i, m), 0.0), 1.0)
 
 
 def moment(n: float, m: ChannelModel) -> float:
@@ -425,22 +438,21 @@ def moment(n: float, m: ChannelModel) -> float:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     a, b = m.alpha, m.beta
+    a0, xi2 = _misalignment(m)
     ln_turb = (
         ln_gamma(a + n) + ln_gamma(b + n) - ln_gamma(a) - ln_gamma(b)
         - n * math.log(a * b)
     )
-    val = math.exp(ln_turb)
-    if m.variant is Variant.GG_POINTING:
-        p = m.pointing
-        val *= p.a0**n * p.xi2 / (n + p.xi2)
-    return val
+    return math.exp(ln_turb) * a0**n / (1.0 + n / xi2)
 
 
 def sample_irradiance(m: ChannelModel, rng: np.random.Generator, size=None):
     """Draw composite irradiance samples; scalar for size=None, else array."""
     a, b = m.alpha, m.beta
     ia = sample_gamma(a, 1.0 / a, rng, size=size) * sample_gamma(b, 1.0 / b, rng, size=size)
-    if m.variant is Variant.GG_ONLY:
+    if m.pointing is None:
+        # I_p = 1 needs no uniform draw, and drawing one would shift the
+        # random stream of every pointing-free Monte Carlo estimate
         return ia
     p = m.pointing
     ip = p.a0 * rng.uniform(size=size) ** (1.0 / p.xi2)
@@ -450,9 +462,11 @@ def sample_irradiance(m: ChannelModel, rng: np.random.Generator, size=None):
 # ---------------------------------------------------------------------------
 # expectations used by the adaptation engine
 #
-# For the pointing-error model the inner expectation over the power-law
-# misalignment factor is carried out in closed form, leaving a single
-# quadrature over the gamma-gamma density.
+# The inner expectation over the power-law misalignment factor is carried
+# out in closed form, leaving a single quadrature over the gamma-gamma
+# density.  Without pointing, A0 = 1 and xi2 = inf reduce each inner term
+# to its gamma-gamma form, so the xi2 factors are written as 1/(1 - 1/xi2)
+# and u^xi2 (u <= 1), which stay finite there.
 
 
 def _safe_xi2(xi2: float) -> float:
@@ -465,22 +479,18 @@ def mean_excess_inv(cutoff: float, m: ChannelModel) -> float:
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
     pdf = _gg_density(m.turbulence)
-    if m.variant is Variant.GG_ONLY:
-        val, _ = quad(
-            lambda t: (1.0 / cutoff - 1.0 / t) * pdf(t), cutoff, np.inf, **_QUAD_OPTS
-        )
-        return val
-    a0 = m.pointing.a0
-    xi2 = _safe_xi2(m.pointing.xi2)
+    a0, xi2 = _misalignment(m)
+    xi2 = _safe_xi2(xi2)
+    lo = cutoff / a0
+    inv_c = 1.0 / cutoff
+    k = 1.0 / ((1.0 - 1.0 / xi2) * a0)
+    e = xi2 - 1.0
 
     def integrand(t):
-        u = cutoff / (a0 * t)
-        inner = (1.0 / cutoff) * (1.0 - u**xi2) - (
-            xi2 / ((xi2 - 1.0) * t * a0)
-        ) * (1.0 - u ** (xi2 - 1.0))
-        return inner * pdf(t)
+        u = lo / t
+        return (inv_c * (1.0 - u**xi2) - k / t * (1.0 - u**e)) * pdf(t)
 
-    val, _ = quad(integrand, cutoff / a0, np.inf, **_QUAD_OPTS)
+    val, _ = quad(integrand, lo, np.inf, **_QUAD_OPTS)
     return val
 
 
@@ -489,19 +499,15 @@ def mean_log_excess(cutoff: float, m: ChannelModel) -> float:
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
     pdf = _gg_density(m.turbulence)
-    if m.variant is Variant.GG_ONLY:
-        val, _ = quad(
-            lambda t: math.log(t / cutoff) * pdf(t), cutoff, np.inf, **_QUAD_OPTS
-        )
-        return val
-    a0, xi2 = m.pointing.a0, m.pointing.xi2
+    a0, xi2 = _misalignment(m)
+    lo = cutoff / a0
+    inv_xi2 = 1.0 / xi2
 
     def integrand(t):
-        u = cutoff / (a0 * t)
-        inner = math.log(a0 * t / cutoff) - 1.0 / xi2 + u**xi2 / xi2
-        return inner * pdf(t)
+        u = lo / t
+        return (inv_xi2 * (u**xi2 - 1.0) - math.log(u)) * pdf(t)
 
-    val, _ = quad(integrand, cutoff / a0, np.inf, **_QUAD_OPTS)
+    val, _ = quad(integrand, lo, np.inf, **_QUAD_OPTS)
     return val
 
 
@@ -510,19 +516,17 @@ def mean_inv_above(threshold: float, m: ChannelModel) -> float:
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     pdf = _gg_density(m.turbulence)
-    if m.variant is Variant.GG_ONLY:
-        val, _ = quad(lambda t: pdf(t) / t, threshold, np.inf, **_QUAD_OPTS)
-        return val
-    a0 = m.pointing.a0
-    xi2 = _safe_xi2(m.pointing.xi2)
+    a0, xi2 = _misalignment(m)
+    xi2 = _safe_xi2(xi2)
+    lo = threshold / a0
+    # divided through by a0^xi2, which underflows for strong pointing
+    k = 1.0 / ((1.0 - 1.0 / xi2) * a0)
+    e = xi2 - 1.0
 
     def integrand(t):
-        lo = min(threshold / t, a0)
-        # divided through by a0^xi2, which underflows for strong pointing
-        inner = (xi2 / ((xi2 - 1.0) * t * a0)) * (1.0 - (lo / a0) ** (xi2 - 1.0))
-        return inner * pdf(t)
+        return k / t * (1.0 - (lo / t) ** e) * pdf(t)
 
-    val, _ = quad(integrand, threshold / a0, np.inf, **_QUAD_OPTS)
+    val, _ = quad(integrand, lo, np.inf, **_QUAD_OPTS)
     return val
 
 
@@ -533,7 +537,8 @@ def mean_exp_neg(s: float, m: ChannelModel) -> float:
     if s == 0.0:
         return 1.0
     pdf = _gg_density(m.turbulence)
-    if m.variant is Variant.GG_ONLY:
+    if m.pointing is None:
+        # the incomplete-gamma inner term has no usable xi2 = inf form
         val, _ = quad(lambda t: math.exp(-s * t) * pdf(t), 0.0, np.inf, **_QUAD_OPTS)
         return val
     a0, xi2 = m.pointing.a0, m.pointing.xi2

@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import (
     BerPolicy,
     ChannelModel,
@@ -145,26 +143,20 @@ class RunConfig:
         return self.raw[key]
 
     def geometry(self, sigma_r2: float | None = None) -> LinkGeometry:
-        cn2 = self["geometry.cn2"]
-        target = sigma_r2 if sigma_r2 is not None else self["turbulence.sigma_r2"]
-        if target is not None:
-            probe = LinkGeometry(
-                length_m=self["geometry.length_m"],
-                wavelength_m=self["geometry.wavelength_m"],
-                tx_waist_m=self["geometry.tx_waist_m"],
-                rx_aperture_radius_m=self["geometry.rx_aperture_radius_m"],
-                cn2=cn2,
-                jitter_sigma_m=self["geometry.jitter_sigma_m"],
-            )
-            cn2 = cn2 * target / rytov_variance(probe)
-        return LinkGeometry(
+        """Configured link; cn2 is rescaled to hit a target Rytov variance."""
+        geom = LinkGeometry(
             length_m=self["geometry.length_m"],
             wavelength_m=self["geometry.wavelength_m"],
             tx_waist_m=self["geometry.tx_waist_m"],
             rx_aperture_radius_m=self["geometry.rx_aperture_radius_m"],
-            cn2=cn2,
+            cn2=self["geometry.cn2"],
             jitter_sigma_m=self["geometry.jitter_sigma_m"],
         )
+        target = sigma_r2 if sigma_r2 is not None else self["turbulence.sigma_r2"]
+        if target is None:
+            return geom
+        # the Rytov variance is linear in cn2
+        return replace(geom, cn2=geom.cn2 * target / rytov_variance(geom))
 
     def channel_model(
         self, sigma_r2: float | None = None, pointing: bool | None = None
@@ -173,10 +165,10 @@ class RunConfig:
         turb = gg_params(rytov_variance(geom))
         use_pe = self["pointing.enabled"] if pointing is None else pointing
         if not use_pe:
-            return ChannelModel.gg_only(turb)
+            return ChannelModel(turb)
         wl = beam_waist_at_rx(geom)
         pp = pointing_params(geom.rx_aperture_radius_m, wl, geom.jitter_sigma_m)
-        return ChannelModel.with_pointing(turb, pp)
+        return ChannelModel(turb, pp)
 
     def series(self) -> SeriesConfig:
         return SeriesConfig(

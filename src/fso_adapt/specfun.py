@@ -28,8 +28,8 @@ __all__ = [
 class SingularOrderError(ValueError):
     """Raised when a series parameter sits on (or too close to) a pole.
 
-    The caller is expected to perturb the offending parameter by the
-    configured singularity epsilon and retry.
+    Nothing retries: the error reaches the caller, and the command-line
+    tool reports it and exits with code 3.
     """
 
 

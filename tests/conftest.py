@@ -50,10 +50,10 @@ def reference_model(sigma_r2: float, pointing: bool = True, jitter_m: float = 0.
     geom = replace(reference_geometry(sigma_r2), jitter_sigma_m=jitter_m)
     turb = gg_params(rytov_variance(geom))
     if not pointing:
-        return ChannelModel.gg_only(turb)
+        return ChannelModel(turb)
     wl = beam_waist_at_rx(geom)
     pp = pointing_params(geom.rx_aperture_radius_m, wl, geom.jitter_sigma_m)
-    return ChannelModel.with_pointing(turb, pp)
+    return ChannelModel(turb, pp)
 
 
 def build_models() -> dict:

@@ -12,6 +12,7 @@ from fso_adapt.channel import (
     PointingParams,
     TurbulenceParams,
     Variant,
+    _composite_cdf_quad,
     _composite_pdf_quad,
     beam_waist_at_rx,
     composite_cdf,
@@ -286,12 +287,38 @@ class TestCompositePdf:
         m = reference_model(12.0, pointing=True, jitter_m=0.003)
         assert composite_pdf(i, m) == pytest.approx(_composite_pdf_quad(i, m), rel=1e-9)
 
+    def test_guard_in_value_units(self, series_cfg_hi):
+        # 3 mm jitter: the series' terms peak at 1.2e9 times the density,
+        # which the guard must see in the density's units to fall back
+        m = reference_model(0.4, pointing=True, jitter_m=0.003)
+        i = 0.6361454523915885
+        assert composite_pdf(i, m, series_cfg_hi) == pytest.approx(
+            _composite_pdf_quad(i, m), rel=1e-7
+        )
+
+    def test_quadrature_weak_turbulence_small_i(self, series_cfg_hi):
+        # I_a clusters at 1, so for i << A0 the mixture's mass sits where
+        # I_p is close to i; there the density is xi2 i^(xi2-1) A0^-xi2
+        # E[I_a^-xi2] up to terms of order (i/A0)^beta
+        m = reference_model(0.0619, pointing=True, jitter_m=0.0157)
+        a, b = m.alpha, m.beta
+        a0, xi2 = m.pointing.a0, m.pointing.xi2
+        i = 1.28e-4
+        e_neg = math.exp(
+            xi2 * math.log(a * b)
+            + math.lgamma(a - xi2) + math.lgamma(b - xi2)
+            - math.lgamma(a) - math.lgamma(b)
+        )
+        asymptote = xi2 / i * (i / a0) ** xi2 * e_neg
+        assert _composite_pdf_quad(i, m) == pytest.approx(asymptote, rel=1e-9)
+        assert composite_pdf(i, m, series_cfg_hi) == pytest.approx(asymptote, rel=1e-9)
+
     def test_gg_limit_collapse(self, models):
         # a near-unity collection limit and enormous xi2 pin I_p to 1, so the
         # composite law must collapse to the bare turbulence density
         t = models["weak_gg"].turbulence
         pp = PointingParams(a0=1.0 - 1e-9, xi2=1e6, rx_beam_waist_m=0.02)
-        m = ChannelModel.with_pointing(t, pp)
+        m = ChannelModel(t, pp)
         cfg = SeriesConfig(max_terms=60)
         for i in (0.2, 0.8, 2.0, 5.0):
             assert composite_pdf(i, m, cfg) == pytest.approx(
@@ -320,6 +347,14 @@ class TestCompositeCdf:
                 n2, _ = quad(f, a0, i, limit=300)
                 num = n1 + n2
             assert composite_cdf(i, m, series_cfg_hi) == pytest.approx(num, abs=5e-7)
+
+    def test_fallback_resolves_boundary_layer(self):
+        # sigma_r2 = 12 with 3 mm jitter: xi2 = 464, so the weight
+        # (i/(A0 t))^xi2 of the quadrature route falls by e^-50 within
+        # t - i/A0 = 0.11 i/A0; the series is exact here
+        m = reference_model(12.0, pointing=True, jitter_m=0.003)
+        i = 0.01 * m.pointing.a0
+        assert _composite_cdf_quad(i, m) == pytest.approx(composite_cdf(i, m), rel=1e-9)
 
     def test_limits(self, models):
         m = models["weak_pe"]
@@ -452,7 +487,7 @@ class TestSingularityGuards:
         # xi2 exactly on alpha puts a gamma factor on a pole only when the
         # offset is a nonpositive integer; use a value landing on one
         pp = PointingParams(a0=0.7, xi2=t.alpha, rx_beam_waist_m=0.02)
-        m = ChannelModel.with_pointing(t, pp)
+        m = ChannelModel(t, pp)
         with pytest.raises(SingularOrderError):
             composite_pdf(0.3, m)
 
@@ -460,6 +495,6 @@ class TestSingularityGuards:
         t = models["weak_gg"].turbulence
         # xi2 = beta makes the k = 0 denominator vanish in one sub-series
         pp = PointingParams(a0=0.7, xi2=t.beta, rx_beam_waist_m=0.02)
-        m = ChannelModel.with_pointing(t, pp)
+        m = ChannelModel(t, pp)
         with pytest.raises(SingularOrderError):
             composite_pdf(0.3, m, SeriesConfig(singularity_eps=1e-6))

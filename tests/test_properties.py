@@ -1,4 +1,4 @@
-"""Property tests of the gamma-gamma density over the physical parameter box."""
+"""Property tests of the channel law over the physical parameter box."""
 
 import math
 
@@ -6,7 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import kv
 
-from fso_adapt.channel import TurbulenceParams, gg_params, gg_pdf
+from fso_adapt.adapt import LN2, ase_series
+from fso_adapt.channel import (
+    TurbulenceParams,
+    _composite_cdf_quad,
+    _residue_series,
+    _series_accepts,
+    composite_cdf,
+    gg_params,
+    gg_pdf,
+    mean_log_excess,
+)
+from fso_adapt.specfun import SeriesConfig
+
+from conftest import reference_model
 
 # Rytov variance over the box, and I_a log-uniform in [1e-6, 50]
 turbulence = st.floats(0.05, 15.0).map(gg_params)
@@ -33,3 +46,29 @@ def test_gg_pdf_matches_closed_form(t, log_x):
     expect = closed_form(ia, t)
     if math.isfinite(expect) and expect > 0.0:
         assert math.isclose(f, expect, rel_tol=1e-9), (t, ia, f, expect)
+
+
+# link strength, jitter, pointing on or off, and the cutoff over A0
+link_box = (
+    st.floats(0.05, 15.0),
+    st.floats(1e-3, 0.05),
+    st.booleans(),
+    st.floats(math.log(1e-4), 0.0),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(*link_box)
+def test_series_matches_quadrature(sigma_r2, jitter_m, pointing, log_u):
+    """Wherever the guard accepts the residue series, it equals quadrature."""
+    m = reference_model(sigma_r2, pointing, jitter_m)
+    c = (m.pointing.a0 if pointing else 1.0) * math.exp(log_u)
+    cfg = SeriesConfig()
+    cdf, tail, peak = _residue_series(c, m, cfg, 1)
+    if _series_accepts(cdf, tail, peak, 1e-7):
+        # without pointing the public distribution is the quadrature route
+        oracle = _composite_cdf_quad(c, m) if pointing else composite_cdf(c, m)
+        assert abs(cdf - oracle) <= 1e-6, (m, c, cdf, oracle)
+    # ase_series returns the quadrature value itself where its guard fails
+    ase = ase_series(c, m, cfg)
+    assert abs(ase - mean_log_excess(c, m) / LN2) <= 1e-6, (m, c, ase)
