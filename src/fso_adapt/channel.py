@@ -313,7 +313,8 @@ def _residue_series(c: float, m: ChannelModel, cfg: SeriesConfig, order: int):
     plus, with pointing, the misalignment pole E[I_a^-xi2] (c/A0)^xi2
     xi2^(1-order).  Order 0 is c times the density, order 1 the
     distribution and order 2 the log-moment part of E[(ln(I/c))^+].
-    Meant for 0 < c <= A0.  Returns (value, tail, peak): the value, the
+    Meant for 0 < c <= A0; further above it the pole can overflow, and
+    the value is then NaN.  Returns (value, tail, peak): the value, the
     magnitude of the last term kept (0 once the sum has converged) and
     the largest term, all in the value's units, for _series_accepts.
     """
@@ -345,7 +346,11 @@ def _residue_series(c: float, m: ChannelModel, cfg: SeriesConfig, order: int):
     # without pointing xi2 = inf and the misalignment pole is absent
     if m.pointing is not None:
         e_neg = _neg_moment_coeff(m.alpha, m.beta, xi2)
-        val += e_neg * math.exp(xi2 * ln_u) * xi2 ** (1 - order)
+        try:
+            val += e_neg * math.exp(xi2 * ln_u) * xi2 ** (1 - order)
+        except OverflowError:
+            # far above A0, (c/A0)^xi2 has no float value; NaN fails the guard
+            val = math.nan
     return val, tail, peak
 
 

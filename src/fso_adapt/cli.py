@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import (
     BerPolicy,
@@ -224,100 +225,124 @@ def _fmt(x: float, nd: int = 4) -> str:
     return f"{x:.{nd}f}"
 
 
+def _table(path: str | None, header: list[str], rows) -> int:
+    """Compute and write a table of (label cells, compute) rows.
+
+    compute() returns the row's value cells.  A row whose numerics fail
+    is written as nan, with a warning that names it, and the other rows
+    are still computed; the command then exits with the numeric code.
+    """
+    out = []
+    failures = 0
+    for labels, compute in rows:
+        try:
+            cells = compute()
+        except (SolverBracketError, SingularOrderError) as exc:
+            failures += 1
+            cells = ["nan"] * (len(header) - len(labels))
+            name = ", ".join(f"{k}={v}" for k, v in zip(header, labels))
+            print(f"warning: {name} failed: {exc}", file=sys.stderr)
+        out.append([*labels, *cells])
+    _write_csv(path, header, out)
+    return EXIT_NUMERIC if failures else EXIT_OK
+
+
+def _cases(config: RunConfig, strengths) -> list:
+    """(name, model) per (name, sigma_r2) strength, without then with pointing."""
+    return [
+        (f"{name}_{'pe' if pe else 'nope'}", config.channel_model(sigma_r2=sr2, pointing=pe))
+        for pe in (False, True)
+        for name, sr2 in strengths
+    ]
+
+
+def _ase_table(path, labels, rows, policy, cfg, cset=None, mc_cfg=None, approx=False) -> int:
+    """ASE table of (label cells, SNR in dB, model) rows.
+
+    Each row holds the continuous limit, then the ladder, Monte Carlo and
+    high-SNR columns that are asked for.
+    """
+    header = [*labels, "ase_limit"]
+    header += ["ase_discrete"] * (cset is not None)
+    header += ["ase_mc", "ase_mc_stderr"] * (mc_cfg is not None)
+    header += ["high_snr_approx"] * approx
+
+    def cells(snr_db, model):
+        snr = SnrSpec.from_db(snr_db)
+        limit = ase_limit(snr, policy, model, cfg)
+        row = [_fmt(limit.ase_bits)]
+        if cset is not None:
+            row.append(_fmt(discrete_ase(snr, policy, model, cset, cfg).ase_bits))
+        if mc_cfg is not None:
+            mean, se = estimate_ase_mc(snr, policy, model, mc_cfg, cutoff=limit.cutoff)
+            row += [_fmt(mean), f"{se:.6f}"]
+        if approx:
+            row.append(_fmt(high_snr_ase(snr, policy, model)))
+        return row
+
+    return _table(path, header, ((lab, partial(cells, db, m)) for lab, db, m in rows))
+
+
+_TARGETS = (2.0, 4.0, 6.0, 8.0, 10.0)
+
+
+def _required_snr_table(config: RunConfig, path: str | None, targets) -> int:
+    """Fixed and adaptive required SNR per target, a column pair per case."""
+    policy = config.policy()
+    cfg = config.series()
+    cases = _cases(config, (("weak", 0.4), ("strong", 2.0)))
+    header = ["rb_bits"]
+    for case, _ in cases:
+        header += [f"fixed_{case}_db", f"adaptive_{case}_db"]
+
+    def cells(rb):
+        row = []
+        for _, model in cases:
+            fixed = fixed_required_snr(rb, policy.target_ber, model)
+            adapt = adaptive_required_snr(rb, policy, model, cfg)
+            row += [f"{fixed.snr_db:.1f}", f"{adapt.snr_db:.1f}"]
+        return row
+
+    return _table(path, header, (([f"{rb:g}"], partial(cells, rb)) for rb in targets))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_params(config: RunConfig, args) -> int:
-    geom = config.geometry()
-    sr2 = rytov_variance(geom)
-    turb = gg_params(sr2)
-    policy = config.policy()
-    header = ["quantity", "value"]
+    model = config.channel_model()
+    turb, pp = model.turbulence, model.pointing
     rows = [
-        ["sigma_r2", _fmt(sr2)],
+        ["sigma_r2", _fmt(turb.rytov_var)],
         ["alpha", _fmt(turb.alpha)],
         ["beta", _fmt(turb.beta)],
-        ["k_margin", f"{policy.k_margin:.6f}"],
-        ["model", "GG_POINTING" if config["pointing.enabled"] else "GG_ONLY"],
+        ["k_margin", f"{config.policy().k_margin:.6f}"],
     ]
-    if config["pointing.enabled"]:
-        wl = beam_waist_at_rx(geom)
-        pp = pointing_params(geom.rx_aperture_radius_m, wl, geom.jitter_sigma_m)
-        rows[4:4] = [
-            ["w_l_m", f"{wl:.6f}"],
+    if pp is not None:
+        rows += [
+            ["w_l_m", f"{pp.rx_beam_waist_m:.6f}"],
             ["a0", _fmt(pp.a0)],
             ["xi", _fmt(pp.xi)],
         ]
-    _write_csv(args.out or config["output.path"], header, rows)
+    rows.append(["model", model.variant.name])
+    _write_csv(args.out or config["output.path"], ["quantity", "value"], rows)
     return EXIT_OK
 
 
 def cmd_ase(config: RunConfig, args) -> int:
     model = config.channel_model()
-    policy = config.policy()
-    cfg = config.series()
-    cset = config.constellations()
-    mc_cfg = config.mc(args)
-    header = [
-        "snr_db",
-        "ase_limit",
-        "ase_discrete",
-        "ase_mc",
-        "ase_mc_stderr",
-        "high_snr_approx",
-    ]
-    rows = []
-    failures = 0
-    for snr_db in config.snr_grid():
-        snr = SnrSpec.from_db(snr_db)
-        try:
-            limit = ase_limit(snr, policy, model, cfg)
-            disc = discrete_ase(snr, policy, model, cset, cfg)
-            mc_mean, mc_se = estimate_ase_mc(snr, policy, model, mc_cfg, cutoff=limit.cutoff)
-            approx = high_snr_ase(snr, policy, model)
-            rows.append(
-                [
-                    f"{snr_db:.1f}",
-                    _fmt(limit.ase_bits),
-                    _fmt(disc.ase_bits),
-                    _fmt(mc_mean),
-                    f"{mc_se:.6f}",
-                    _fmt(approx),
-                ]
-            )
-        except (SolverBracketError, SingularOrderError) as exc:
-            failures += 1
-            rows.append([f"{snr_db:.1f}", "nan", "nan", "nan", "nan", "nan"])
-            print(f"warning: {snr_db} dB failed: {exc}", file=sys.stderr)
-    _write_csv(args.out or config["output.path"], header, rows)
-    return EXIT_NUMERIC if failures else EXIT_OK
+    rows = [([f"{snr_db:.1f}"], snr_db, model) for snr_db in config.snr_grid()]
+    columns = dict(cset=config.constellations(), mc_cfg=config.mc(args), approx=True)
+    path = args.out or config["output.path"]
+    return _ase_table(path, ["snr_db"], rows, config.policy(), config.series(), **columns)
 
 
 def cmd_required_snr(config: RunConfig, args) -> int:
-    targets = [float(t) for t in args.targets.split(",")] if args.targets else [2, 4, 6, 8, 10]
+    targets = [float(t) for t in args.targets.split(",")] if args.targets else _TARGETS
     if any(t <= 0 for t in targets):
         raise ConfigError("targets must be positive")
-    policy = config.policy()
-    cfg = config.series()
-    cases = []
-    for pe in (False, True):
-        for name, sr2 in (("weak", 0.4), ("strong", 2.0)):
-            cases.append((f"{name}_{'pe' if pe else 'nope'}", sr2, pe))
-    header = ["rb_bits"]
-    for case, _, _ in cases:
-        header += [f"fixed_{case}_db", f"adaptive_{case}_db"]
-    rows = []
-    for rb in targets:
-        row = [f"{rb:g}"]
-        for _, sr2, pe in cases:
-            model = config.channel_model(sigma_r2=sr2, pointing=pe)
-            fixed = fixed_required_snr(rb, policy.target_ber, model)
-            adapt = adaptive_required_snr(rb, policy, model, cfg)
-            row += [f"{fixed.snr_db:.1f}", f"{adapt.snr_db:.1f}"]
-        rows.append(row)
-    _write_csv(args.out or config["output.path"], header, rows)
-    return EXIT_OK
+    return _required_snr_table(config, args.out or config["output.path"], targets)
 
 
 def cmd_mc(config: RunConfig, args) -> int:
@@ -325,17 +350,10 @@ def cmd_mc(config: RunConfig, args) -> int:
     policy = config.policy()
     cset = config.constellations()
     mc_cfg = config.mc(args)
-    header = [
-        "snr_db",
-        "ase_mc",
-        "ase_mc_stderr",
-        "ase_discrete_mc",
-        "ase_discrete_mc_stderr",
-        "power_audit_z_cont",
-        "power_audit_z_disc",
-    ]
-    rows = []
-    for snr_db in config.snr_grid():
+    header = ["snr_db", "ase_mc", "ase_mc_stderr", "ase_discrete_mc", "ase_discrete_mc_stderr"]
+    header += ["power_audit_z_cont", "power_audit_z_disc"]
+
+    def cells(snr_db):
         snr = SnrSpec.from_db(snr_db)
         sol_c = solve_cutoff_continuous(snr, policy, model)
         sol_d = solve_cutoff_discrete(snr, policy, model, cset)
@@ -347,19 +365,11 @@ def cmd_mc(config: RunConfig, args) -> int:
         audit_d = audit_power_constraint(
             snr, policy, model, sol_d, mc_cfg, "discrete", cset
         )
-        rows.append(
-            [
-                f"{snr_db:.1f}",
-                _fmt(mean_c),
-                f"{se_c:.6f}",
-                _fmt(mean_d),
-                f"{se_d:.6f}",
-                f"{audit_c.z_score:.3f}",
-                f"{audit_d.z_score:.3f}",
-            ]
-        )
-    _write_csv(args.out or config["output.path"], header, rows)
-    return EXIT_OK
+        audits = [f"{audit_c.z_score:.3f}", f"{audit_d.z_score:.3f}"]
+        return [_fmt(mean_c), f"{se_c:.6f}", _fmt(mean_d), f"{se_d:.6f}", *audits]
+
+    rows = (([f"{snr_db:.1f}"], partial(cells, snr_db)) for snr_db in config.snr_grid())
+    return _table(args.out or config["output.path"], header, rows)
 
 
 _SIGMA_ROWS = (("weak", 0.4), ("moderate", 1.0), ("strong", 2.0))
@@ -368,61 +378,30 @@ _SIGMA_ROWS = (("weak", 0.4), ("moderate", 1.0), ("strong", 2.0))
 def cmd_reproduce(config: RunConfig, args) -> int:
     artifact = args.artifact
     out = args.out or config["output.path"] or f"{artifact}.csv"
-    policy = BerPolicy(1e-3)
-    cfg = SeriesConfig(max_terms=20)
+    if artifact == "table2":
+        return _required_snr_table(config, out, _TARGETS)
     if artifact == "table3":
-        header = ["strength", "sigma_r2", "alpha", "beta", "xi", "a0"]
         rows = []
         for name, sr2 in _SIGMA_ROWS:
-            geom = config.geometry(sr2)
-            turb = gg_params(rytov_variance(geom))
-            pp = pointing_params(
-                geom.rx_aperture_radius_m, beam_waist_at_rx(geom), geom.jitter_sigma_m
-            )
-            rows.append(
-                [name, f"{sr2:g}", _fmt(turb.alpha), _fmt(turb.beta), _fmt(pp.xi), _fmt(pp.a0)]
-            )
-        _write_csv(out, header, rows)
-    elif artifact == "table2":
-        args2 = argparse.Namespace(targets="2,4,6,8,10", out=out)
-        return cmd_required_snr(config, args2)
-    elif artifact in ("fig2", "fig3", "fig4"):
-        rows = []
-        if artifact == "fig2":
-            header = ["config", "snr_db", "ase_limit", "ase_mc", "ase_mc_stderr"]
-            cases = [
-                (f"{name}_{'pe' if pe else 'nope'}", sr2, pe)
-                for pe in (False, True)
-                for name, sr2 in _SIGMA_ROWS
-            ]
-            mc_cfg = McConfig(n_samples=40_000, seed=config["mc.seed"], workers=1)
-            for case, sr2, pe in cases:
-                model = config.channel_model(sigma_r2=sr2, pointing=pe)
-                for snr_db in range(0, 31):
-                    snr = SnrSpec.from_db(float(snr_db))
-                    limit = ase_limit(snr, policy, model, cfg)
-                    mc_mean, mc_se = estimate_ase_mc(
-                        snr, policy, model, mc_cfg, cutoff=limit.cutoff
-                    )
-                    rows.append(
-                        [case, f"{snr_db}", _fmt(limit.ase_bits), _fmt(mc_mean), f"{mc_se:.6f}"]
-                    )
-        else:
-            sr2 = 0.4 if artifact == "fig3" else 2.0
-            header = ["config", "snr_db", "ase_limit", "ase_discrete"]
-            cset = ConstellationSet()
-            for pe in (False, True):
-                case = f"{'pe' if pe else 'nope'}"
-                model = config.channel_model(sigma_r2=sr2, pointing=pe)
-                for snr_db in range(0, 31):
-                    snr = SnrSpec.from_db(float(snr_db))
-                    limit = ase_limit(snr, policy, model, cfg)
-                    disc = discrete_ase(snr, policy, model, cset, cfg)
-                    rows.append([case, f"{snr_db}", _fmt(limit.ase_bits), _fmt(disc.ase_bits)])
-        _write_csv(out, header, rows)
+            model = config.channel_model(sigma_r2=sr2, pointing=True)
+            a0, xi = _fmt(model.pointing.a0), _fmt(model.pointing.xi)
+            rows.append([name, f"{sr2:g}", _fmt(model.alpha), _fmt(model.beta), xi, a0])
+        _write_csv(out, ["strength", "sigma_r2", "alpha", "beta", "xi", "a0"], rows)
+        return EXIT_OK
+    # the figures fix their own policy, series and Monte Carlo settings
+    if artifact == "fig2":
+        cases = _cases(config, _SIGMA_ROWS)
+        columns = {"mc_cfg": McConfig(n_samples=40_000, seed=config["mc.seed"], workers=1)}
     else:
-        raise ConfigError(f"unknown artifact {artifact!r}")
-    return EXIT_OK
+        sr2 = {"fig3": 0.4, "fig4": 2.0}[artifact]
+        cases = [
+            (tag, config.channel_model(sigma_r2=sr2, pointing=pe))
+            for tag, pe in (("nope", False), ("pe", True))
+        ]
+        columns = {"cset": ConstellationSet()}
+    rows = [([case, f"{db}"], float(db), model) for case, model in cases for db in range(31)]
+    policy, cfg = BerPolicy(1e-3), SeriesConfig(max_terms=20)
+    return _ase_table(out, ["config", "snr_db"], rows, policy, cfg, **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverBracketError, SingularOrderError, ValueError) as exc:
+    except ValueError as exc:
+        # a parameter outside its domain, found while building a model
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

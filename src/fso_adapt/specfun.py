@@ -18,7 +18,6 @@ __all__ = [
     "SeriesConfig",
     "SingularOrderError",
     "ln_gamma",
-    "gamma",
     "digamma",
     "bessel_k_frac",
     "sample_gamma",
@@ -61,23 +60,6 @@ def ln_gamma(x: float) -> float:
     if not (np.isfinite(x) and x > 0):
         raise ValueError(f"ln_gamma requires finite x > 0, got {x}")
     return math.lgamma(x)
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real non-pole x, including negative arguments.
-
-    Negative non-integer arguments are handled through the reflection
-    formula, which the composite-channel coefficients need when shape
-    parameters are analytically continued.
-    """
-    if not np.isfinite(x):
-        raise ValueError(f"gamma requires finite x, got {x}")
-    if x > 0:
-        return math.exp(math.lgamma(x))
-    if x == math.floor(x):
-        raise SingularOrderError(f"gamma pole at non-positive integer x={x}")
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    return math.pi / (math.sin(math.pi * x) * math.exp(math.lgamma(1.0 - x)))
 
 
 # Asymptotic tail coefficients: B_{2n}/(2n), n = 1..7

@@ -218,6 +218,16 @@ class TestAseLimit:
             pe = ase_limit(snr, policy, models[f"{strength}_pe"]).ase_bits
             assert pe < gg
 
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
+    def test_cutoff_far_above_a0(self, policy, snr_db):
+        # xi2 = 5401, A0 = 0.037: the series' misalignment pole (c/A0)^xi2
+        # overflows above A0 and must hand the cutoff over to quadrature
+        m = reference_model(15.0, jitter_m=0.001)
+        sol = ase_limit(SnrSpec.from_db(snr_db), policy, m)
+        assert sol.cutoff > m.pointing.a0
+        assert math.isfinite(sol.ase_bits) and sol.ase_bits > 0.0
+        assert sol.ase_bits == pytest.approx(mean_log_excess(sol.cutoff, m) / LN2, rel=1e-12)
+
 
 class TestHighSnrAse:
     @pytest.mark.parametrize("key", ["weak_gg", "strong_pe"])
@@ -388,6 +398,13 @@ class TestRequiredSnr:
         for rb in (2.0, 6.0, 10.0):
             snr = adaptive_required_snr(rb, policy, m)
             assert ase_limit(snr, policy, m).ase_bits == pytest.approx(rb, abs=1e-8)
+
+    def test_round_trip_through_overflowing_pole(self, policy):
+        # the cutoff search starts far above A0 = 0.037, where xi2 = 5401
+        # overflows the series' misalignment pole
+        m = reference_model(15.0, jitter_m=0.001)
+        snr = adaptive_required_snr(2.0, policy, m)
+        assert ase_limit(snr, policy, m).ase_bits == pytest.approx(2.0, abs=1e-8)
 
     @pytest.mark.parametrize("rb", [40.0, 1e-4, 1000.0])
     def test_outside_snr_window(self, models, policy, rb):

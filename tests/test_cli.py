@@ -1,11 +1,13 @@
 import csv
 import io
+import math
 import os
 
 import pytest
 
 from fso_adapt.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     RunConfig,
@@ -164,6 +166,15 @@ class TestRequiredSnrCommand:
         assert float(vals["fixed_strong_pe_db"]) == pytest.approx(26.3, abs=0.2)
         assert float(vals["adaptive_strong_pe_db"]) == pytest.approx(17.0, abs=0.2)
 
+    def test_failed_row_is_nan(self, capsys):
+        # no SNR in the fixed-rate bracket reaches 40 bits/s/Hz; row 2 still runs
+        code, out, err = run_cli(["required-snr", "--targets", "2,40"], capsys)
+        assert code == EXIT_NUMERIC
+        rows = read_csv(out)
+        assert rows[1][:4] == ["2", "14.0", "10.7", "20.3"]
+        assert rows[2] == ["40"] + ["nan"] * 8
+        assert "rb_bits=40" in err
+
     def test_bad_target_rejected(self, capsys):
         code, _, err = run_cli(["required-snr", "--targets", "-2"], capsys)
         assert code == EXIT_CONFIG
@@ -190,6 +201,26 @@ class TestMcCommand:
             assert abs(float(r[5])) <= 5.0
             assert abs(float(r[6])) <= 5.0
 
+    def test_failed_row_is_nan(self, capsys):
+        # the one-rung ladder has no cutoff at 20 dB; 0 and 10 dB still run
+        code, out, err = run_cli(
+            [
+                "mc",
+                "--set", "constellations=0,4",
+                "--set", "snr.step_db=10",
+                "--set", "snr.stop_db=20",
+                "--samples", "2000",
+            ],
+            capsys,
+        )
+        assert code == EXIT_NUMERIC
+        rows = read_csv(out)
+        assert [r[0] for r in rows[1:]] == ["0.0", "10.0", "20.0"]
+        for r in rows[1:3]:
+            assert all(math.isfinite(float(v)) for v in r)
+        assert rows[3][1:] == ["nan"] * 6
+        assert "snr_db=20.0" in err
+
 
 class TestReproduceCommand:
     def test_table3(self, tmp_path, capsys):
@@ -212,6 +243,22 @@ class TestReproduceCommand:
         assert len(rows) == 1 + 2 * 31
         for r in rows[1:]:
             assert float(r[3]) <= float(r[2])
+        # the figure and the ase command build their rows alike
+        code, out, _ = run_cli(
+            [
+                "ase",
+                "--set", "turbulence.sigma_r2=2.0",
+                "--set", "snr.step_db=10",
+                "--samples", "2000",
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        ase_rows = [r[1:3] for r in read_csv(out)[1:]]
+        fig_rows = [r[2:] for r in rows[1:] if r[0] == "pe" and int(r[1]) % 10 == 0]
+        assert fig_rows == ase_rows
+        assert fig_rows[0] == ["0.1935", "0.1632"]
+        assert fig_rows[-1] == ["5.6124", "5.4988"]
 
     def test_unknown_artifact(self, capsys):
         with pytest.raises(SystemExit):
