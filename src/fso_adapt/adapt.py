@@ -196,27 +196,31 @@ def solve_cutoff_continuous(
     )
 
 
+def _mean_log_irradiance(m: ChannelModel) -> float:
+    """E[ln I] = psi(a) + psi(b) - ln(ab) + ln A0 - 1/xi2, in nats."""
+    a, b = m.alpha, m.beta
+    a0, xi2 = _misalignment(m)
+    return digamma(a) + digamma(b) - math.log(a * b) + math.log(a0) - 1.0 / xi2
+
+
 def ase_series(cutoff: float, m: ChannelModel, cfg: SeriesConfig | None = None) -> float:
     """Closed-form spectral-efficiency ceiling for a solved cutoff, bits/s/Hz.
 
-    E[(ln(I/cutoff))^+] is the base term ln(A0/(ab cutoff)) + psi(a) +
-    psi(b) - 1/xi2 plus the order-2 residue series of the composite law,
-    whose misalignment pole keeps the closed form in agreement with
-    direct quadrature.
+    E[(ln(I/cutoff))^+] is the base term E[ln I] - ln(cutoff) plus the
+    order-2 residue series of the composite law, whose misalignment pole
+    keeps the closed form in agreement with direct quadrature.
     """
     cfg = cfg or SeriesConfig()
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    a, b = m.alpha, m.beta
-    a0, xi2 = _misalignment(m)
-    base = -math.log(a * b * cutoff) + digamma(a) + digamma(b) + math.log(a0) - 1.0 / xi2
-    series, tail, peak = _residue_series(cutoff, m, cfg, 2)
-    nats = base + series
-    # far above the nominal operating range (very large cutoff) the series
-    # fails its guard; evaluate the defining expectation directly there
-    if not _series_accepts(nats, tail, peak, 1e-6):
-        return mean_log_excess(cutoff, m) / LN2
-    return nats / LN2
+    # above A0 the misalignment pole outgrows the value; there, and where
+    # the series fails its guard, evaluate the defining expectation directly
+    if cutoff <= _misalignment(m)[0]:
+        series, tail, peak = _residue_series(cutoff, m, cfg, 2)
+        nats = _mean_log_irradiance(m) - math.log(cutoff) + series
+        if _series_accepts(nats, tail, peak, 1e-6):
+            return nats / LN2
+    return mean_log_excess(cutoff, m) / LN2
 
 
 def ase_limit(
@@ -238,16 +242,7 @@ def ase_limit(
 
 def high_snr_ase(snr: SnrSpec, policy: BerPolicy, m: ChannelModel) -> float:
     """Logarithmic high-SNR approximation of the spectral-efficiency limit."""
-    a, b = m.alpha, m.beta
-    a0, xi2 = _misalignment(m)
-    val = (
-        math.log(policy.k_margin / (a * b))
-        + digamma(a)
-        + digamma(b)
-        + math.log(snr.snr_linear)
-        + math.log(a0)
-        - 1.0 / xi2
-    )
+    val = _mean_log_irradiance(m) + math.log(policy.k_margin * snr.snr_linear)
     return val / LN2
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -355,15 +356,17 @@ def _residue_series(c: float, m: ChannelModel, cfg: SeriesConfig, order: int):
 
 
 def _series_accepts(val: float, tail: float, peak: float, tol: float) -> bool:
-    """Whether a residue-series value can be trusted.
+    """Whether a residue-series value can be trusted to tol, relative.
 
     With large shape parameters, or far from the origin, the expansion can
-    outgrow the term budget or its alternating terms can swamp the result;
-    the caller then integrates directly.  Written so that a NaN from a
-    singular coefficient fails the test.
+    outgrow the term budget or its alternating terms can swamp the result:
+    each log-domain term carries a relative rounding of about 1e-14, so a
+    sum whose terms peak at P is off by up to P * 1e-14.  The caller then
+    integrates directly.  Written so that a NaN from a singular
+    coefficient fails the test.
     """
     scale = max(abs(val), 1e-12)
-    return tail <= tol * scale and peak <= 1e8 * scale
+    return tail <= tol * scale and peak * 1e-14 <= tol * scale
 
 
 def _mixture_quad(lo: float, m: ChannelModel) -> float:
@@ -396,10 +399,13 @@ def _composite_pdf_quad(i: float, m: ChannelModel) -> float:
 def _composite_cdf_quad(i: float, m: ChannelModel) -> float:
     """Distribution function by quadrature, valid on the whole support.
 
-    P(I <= i) = P(I_a <= i/A0) + (i/A0)^xi2 E[I_a^-xi2; I_a > i/A0].
+    P(I <= i) = P(I_a <= i/A0) + (i/A0)^xi2 E[I_a^-xi2; I_a > i/A0],
+    where the mixture term vanishes without pointing (xi2 = inf).
     """
-    lo = i / m.pointing.a0
+    lo = i / _misalignment(m)[0]
     head, _ = quad(_gg_density(m.turbulence), 0.0, lo, **_QUAD_OPTS)
+    if m.pointing is None:
+        return head
     return head + _mixture_quad(lo, m)
 
 
@@ -426,12 +432,7 @@ def composite_cdf(i: float, m: ChannelModel, cfg: SeriesConfig | None = None) ->
     cfg = cfg or SeriesConfig()
     if i <= 0:
         return 0.0
-    if m.pointing is None:
-        # gamma-gamma keeps quadrature: residue-series values that pass
-        # the guard still drift from it by up to 4.8e-7 near i = 0.9
-        val, _ = quad(_gg_density(m.turbulence), 0.0, i, **_QUAD_OPTS)
-        return min(max(val, 0.0), 1.0)
-    if i <= m.pointing.a0:
+    if i <= _misalignment(m)[0]:
         val, tail, peak = _residue_series(i, m, cfg, 1)
         if _series_accepts(val, tail, peak, 1e-7):
             return min(max(val, 0.0), 1.0)
@@ -542,21 +543,10 @@ def mean_exp_neg(s: float, m: ChannelModel) -> float:
     if s == 0.0:
         return 1.0
     pdf = _gg_density(m.turbulence)
-    if m.pointing is None:
-        # the incomplete-gamma inner term has no usable xi2 = inf form
-        val, _ = quad(lambda t: math.exp(-s * t) * pdf(t), 0.0, np.inf, **_QUAD_OPTS)
-        return val
-    a0, xi2 = m.pointing.a0, m.pointing.xi2
-    ln_pref = math.log(xi2) + special.gammaln(xi2)
-
-    def integrand(t):
-        z = s * t * a0
-        if z < 1e-8:
-            inner = 1.0 - xi2 / (xi2 + 1.0) * z
-        else:
-            reg = special.gammainc(xi2, z)  # regularized lower incomplete gamma
-            inner = math.exp(ln_pref - xi2 * math.log(z)) * reg if reg > 0 else 0.0
-        return inner * pdf(t)
-
-    val, _ = quad(integrand, 0.0, np.inf, **_QUAD_OPTS)
+    a0, xi2 = _misalignment(m)
+    # over W = I_p/A0 ~ Beta(xi2, 1), E[exp(x W)] = 1F1(xi2; xi2+1; x); its
+    # xi2 = inf limit exp(x) is written out, since scipy's
+    # hyp1f1(inf, inf, x) returns 1 for small |x|
+    inner = math.exp if math.isinf(xi2) else partial(special.hyp1f1, xi2, xi2 + 1.0)
+    val, _ = quad(lambda t: inner(-s * a0 * t) * pdf(t), 0.0, np.inf, **_QUAD_OPTS)
     return val

@@ -14,7 +14,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 from . import (
@@ -52,6 +52,14 @@ class ConfigError(Exception):
     pass
 
 
+def _checked(key: str, build, *args, **kwargs):
+    """build(*args, **kwargs), reporting a ValueError as a config error on key."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 _DEFAULTS = {
     "geometry.length_m": 1000.0 / 3.0,
     "geometry.wavelength_m": 1550e-9,
@@ -67,8 +75,6 @@ _DEFAULTS = {
     "snr.step_db": 1.0,
     "constellations": "0,4,16,64,256,1024",
     "series.max_terms": 20,
-    "series.singularity_eps": 1e-6,
-    "series.convergence_tol": 1e-12,
     "mc.n_samples": 40_000,
     "mc.seed": 12345,
     "mc.workers": 1,
@@ -145,17 +151,13 @@ class RunConfig:
 
     def geometry(self, sigma_r2: float | None = None) -> LinkGeometry:
         """Configured link; cn2 is rescaled to hit a target Rytov variance."""
-        geom = LinkGeometry(
-            length_m=self["geometry.length_m"],
-            wavelength_m=self["geometry.wavelength_m"],
-            tx_waist_m=self["geometry.tx_waist_m"],
-            rx_aperture_radius_m=self["geometry.rx_aperture_radius_m"],
-            cn2=self["geometry.cn2"],
-            jitter_sigma_m=self["geometry.jitter_sigma_m"],
-        )
+        values = {f.name: self[f"geometry.{f.name}"] for f in fields(LinkGeometry)}
+        geom = _checked("geometry", LinkGeometry, **values)
         target = sigma_r2 if sigma_r2 is not None else self["turbulence.sigma_r2"]
         if target is None:
             return geom
+        if not (math.isfinite(target) and target > 0):
+            raise ConfigError(f"turbulence.sigma_r2 must be finite and > 0, got {target}")
         # the Rytov variance is linear in cn2
         return replace(geom, cn2=geom.cn2 * target / rytov_variance(geom))
 
@@ -168,28 +170,25 @@ class RunConfig:
         if not use_pe:
             return ChannelModel(turb)
         wl = beam_waist_at_rx(geom)
-        pp = pointing_params(geom.rx_aperture_radius_m, wl, geom.jitter_sigma_m)
-        return ChannelModel(turb, pp)
+        args = (geom.rx_aperture_radius_m, wl, geom.jitter_sigma_m)
+        return ChannelModel(turb, _checked("geometry", pointing_params, *args))
 
     def series(self) -> SeriesConfig:
-        return SeriesConfig(
-            max_terms=self["series.max_terms"],
-            singularity_eps=self["series.singularity_eps"],
-            convergence_tol=self["series.convergence_tol"],
-        )
+        return _checked("series.max_terms", SeriesConfig, self["series.max_terms"])
 
     def policy(self) -> BerPolicy:
-        return BerPolicy(self["ber.target"])
+        return _checked("ber.target", BerPolicy, self["ber.target"])
 
     def constellations(self) -> ConstellationSet:
-        sizes = tuple(int(s) for s in str(self["constellations"]).split(",") if s.strip())
-        return ConstellationSet(sizes=sizes)
+        # ConstellationSet converts each size to int
+        sizes = tuple(s for s in str(self["constellations"]).split(",") if s.strip())
+        return _checked("constellations", ConstellationSet, sizes)
 
     def mc(self, args) -> McConfig:
         workers = self["mc.workers"]
         env = os.environ.get("FSO_ADAPT_WORKERS")
         if env:
-            workers = int(env)
+            workers = _checked("FSO_ADAPT_WORKERS", int, env)
         if getattr(args, "workers", None) is not None:
             workers = args.workers
         n = self["mc.n_samples"]
@@ -198,7 +197,7 @@ class RunConfig:
         seed = self["mc.seed"]
         if getattr(args, "seed", None) is not None:
             seed = args.seed
-        return McConfig(n_samples=n, seed=seed, workers=workers)
+        return _checked("mc", McConfig, n_samples=n, seed=seed, workers=workers)
 
     def snr_grid(self):
         start, stop, step = (
@@ -339,7 +338,8 @@ def cmd_ase(config: RunConfig, args) -> int:
 
 
 def cmd_required_snr(config: RunConfig, args) -> int:
-    targets = [float(t) for t in args.targets.split(",")] if args.targets else _TARGETS
+    parse = lambda: [float(t) for t in args.targets.split(",")]
+    targets = _checked("--targets", parse) if args.targets else _TARGETS
     if any(t <= 0 for t in targets):
         raise ConfigError("targets must be positive")
     return _required_snr_table(config, args.out or config["output.path"], targets)
@@ -455,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
-        # a parameter outside its domain, found while building a model
+        # a value outside its domain met inside the numerics
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

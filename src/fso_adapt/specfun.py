@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
@@ -34,25 +35,23 @@ class SingularOrderError(ValueError):
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation and guard settings for all power-series evaluations.
+    """Truncation of all power-series evaluations.
 
     max_terms: number of retained series terms (k = 0 .. max_terms-1).
-    singularity_eps: minimum allowed distance of a coefficient denominator
-        from zero; closer than this raises SingularOrderError.
-    convergence_tol: early-stop threshold, relative to the partial sum.
+
+    The guard constants are shared by every series and are not settable:
+    singularity_eps is the minimum distance of a coefficient denominator
+    from zero (closer raises SingularOrderError), and convergence_tol the
+    early-stop threshold, relative to the partial sum.
     """
 
     max_terms: int = 20
-    singularity_eps: float = 1e-6
-    convergence_tol: float = 1e-12
+    singularity_eps: ClassVar[float] = 1e-6
+    convergence_tol: ClassVar[float] = 1e-12
 
     def __post_init__(self):
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-        if not self.singularity_eps > 0:
-            raise ValueError("singularity_eps must be > 0")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be > 0")
 
 
 def ln_gamma(x: float) -> float:

@@ -172,6 +172,13 @@ class TestAseSeries:
             quadrature = mean_log_excess(cutoff, m) / LN2
             assert series == pytest.approx(quadrature, rel=1e-8, abs=1e-9)
 
+    def test_above_a0_is_quadrature(self, models, series_cfg_hi):
+        # above A0 the series terms peak at 5e7 times the value
+        m = models["strong_pe"]
+        cutoff = 2.3 * m.pointing.a0
+        quadrature = mean_log_excess(cutoff, m) / LN2
+        assert ase_series(cutoff, m, series_cfg_hi) == pytest.approx(quadrature, rel=1e-9)
+
     def test_invalid_cutoff(self, models):
         with pytest.raises(ValueError):
             ase_series(0.0, models["weak_gg"])

@@ -86,6 +86,14 @@ class TestConfigParsing:
         mc = cfg.mc(argparse.Namespace(workers=2, samples=None, seed=None))
         assert mc.workers == 2
 
+    def test_bad_workers_env_is_config_error(self, monkeypatch):
+        import argparse
+
+        monkeypatch.setenv("FSO_ADAPT_WORKERS", "many")
+        cfg = RunConfig.load(None, None)
+        with pytest.raises(ConfigError, match="FSO_ADAPT_WORKERS"):
+            cfg.mc(argparse.Namespace(workers=None, samples=None, seed=None))
+
 
 class TestParamsCommand:
     def test_weak_turbulence_values(self, capsys):
@@ -174,6 +182,14 @@ class TestRequiredSnrCommand:
         assert rows[1][:4] == ["2", "14.0", "10.7", "20.3"]
         assert rows[2] == ["40"] + ["nan"] * 8
         assert "rb_bits=40" in err
+
+    def test_narrow_jitter(self, capsys):
+        # xi2 = 317 at sigma_r2 = 0.4: the fixed-rate bracket needs the
+        # Laplace transform near 1 at small s, not an underflowed 0
+        argv = ["required-snr", "--set", "geometry.jitter_sigma_m=0.001", "--targets", "2"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert read_csv(out)[1] == "2,14.0,10.7,20.3,11.2,15.4,12.1,25.5,16.4".split(",")
 
     def test_bad_target_rejected(self, capsys):
         code, _, err = run_cli(["required-snr", "--targets", "-2"], capsys)
@@ -285,6 +301,20 @@ class TestExitCodes:
         )
         assert code == 3
         assert "nan" in out
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["params", "--set", "turbulence.sigma_r2=-1"], "turbulence.sigma_r2"),
+            (["params", "--set", "ber.target=0.5"], "ber.target"),
+            (["ase", "--set", "constellations=0,5"], "constellations"),
+            (["ase", "--set", "series.convergence_tol=0.1"], "series.convergence_tol"),
+        ],
+    )
+    def test_config_value_outside_domain_is_two(self, argv, key, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert key in err and out == ""
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(["params", "--config", "/no/such/file.cfg"], capsys)

@@ -12,9 +12,9 @@ from fso_adapt.channel import (
     _composite_cdf_quad,
     _residue_series,
     _series_accepts,
-    composite_cdf,
     gg_params,
     gg_pdf,
+    mean_exp_neg,
     mean_log_excess,
 )
 from fso_adapt.specfun import SeriesConfig
@@ -66,9 +66,24 @@ def test_series_matches_quadrature(sigma_r2, jitter_m, pointing, log_u):
     cfg = SeriesConfig()
     cdf, tail, peak = _residue_series(c, m, cfg, 1)
     if _series_accepts(cdf, tail, peak, 1e-7):
-        # without pointing the public distribution is the quadrature route
-        oracle = _composite_cdf_quad(c, m) if pointing else composite_cdf(c, m)
+        oracle = _composite_cdf_quad(c, m)
         assert abs(cdf - oracle) <= 1e-6, (m, c, cdf, oracle)
     # ase_series returns the quadrature value itself where its guard fails
     ase = ase_series(c, m, cfg)
     assert abs(ase - mean_log_excess(c, m) / LN2) <= 1e-6, (m, c, ase)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.05, 15.0),
+    st.floats(1e-3, 0.05),
+    st.floats(math.log(1e-4), math.log(20.0)),
+    st.floats(1.1, 10.0),
+)
+def test_laplace_transform_in_unit_interval_and_falling(sigma_r2, jitter_m, log_s, ratio):
+    """E[exp(-s I)] is a probability-weighted mean in (0, 1] that falls in s."""
+    m = reference_model(sigma_r2, True, jitter_m)
+    s = math.exp(log_s)
+    near, far = mean_exp_neg(s, m), mean_exp_neg(ratio * s, m)
+    assert math.isfinite(near) and 0.0 < near <= 1.0, (m, s, near)
+    assert 0.0 < far < near, (m, s, near, far)
