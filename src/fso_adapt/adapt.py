@@ -203,6 +203,15 @@ def _mean_log_irradiance(m: ChannelModel) -> float:
     return digamma(a) + digamma(b) - math.log(a * b) + math.log(a0) - 1.0 / xi2
 
 
+def _mean_inv_irradiance(m: ChannelModel) -> float:
+    """E[1/I] = ab / ((a-1)(b-1) A0) * xi2/(xi2-1); inf once min(a, b, xi2) <= 1."""
+    a, b = m.alpha, m.beta
+    a0, xi2 = _misalignment(m)
+    if min(a, b, xi2) <= 1.0:
+        return math.inf
+    return a * b / ((a - 1.0) * (b - 1.0) * a0) / (1.0 - 1.0 / xi2)
+
+
 def ase_series(cutoff: float, m: ChannelModel, cfg: SeriesConfig | None = None) -> float:
     """Closed-form spectral-efficiency ceiling for a solved cutoff, bits/s/Hz.
 
@@ -300,8 +309,20 @@ def solve_cutoff_discrete(
     m: ChannelModel,
     cset: ConstellationSet | None = None,
 ) -> AdaptiveSolution:
-    """Cutoff of the finite-ladder scheme from the long-term power constraint."""
+    """Cutoff of the finite-ladder scheme from the long-term power constraint.
+
+    The constraint's power stays below (M_max - 1) E[1/I], which the
+    ladder spends as its cutoff falls to 0; at or above the SNR that
+    takes, there is no root and SolverBracketError is raised at once.
+    """
     cset = cset or ConstellationSet()
+    saturation = (cset.sizes[-1] - 1.0) * _mean_inv_irradiance(m)
+    if policy.k_margin * snr.snr_linear >= saturation:
+        sat_db = 10.0 * math.log10(saturation / policy.k_margin)
+        raise SolverBracketError(
+            f"the ladder saturates at {sat_db:.2f} dB; "
+            f"no cutoff spends {snr.snr_db:.2f} dB"
+        )
     fun = lambda c: _discrete_constraint(c, snr, policy, m, cset)
     root, iters = _bracket_and_solve(fun, start=0.25)
     return AdaptiveSolution(
@@ -382,7 +403,8 @@ def adaptive_required_snr(
         raise ValueError(f"target_rb must be > 0, got {target_rb}")
 
     fun = lambda c: ase_series(c, m, cfg) - target_rb
-    cutoff, _ = _bracket_and_solve(fun)
+    # ase_series sums its series only up to A0, so the search starts below it
+    cutoff, _ = _bracket_and_solve(fun, start=0.5 * _misalignment(m)[0])
     snr_linear = mean_excess_inv(cutoff, m) / policy.k_margin
     if not 1e-3 <= snr_linear <= 1e8:  # -30 to 80 dB
         raise SolverBracketError("adaptive-rate SNR outside [-30, 80] dB")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -106,15 +106,12 @@ class PointingParams:
     """Misalignment-fading shape parameters.
 
     a0 is the maximal fraction of collected power; xi2 the squared jitter
-    severity (larger = milder misalignment).  The erf-based diagnostics
-    (erf argument v and equivalent beam waist) are kept for reporting.
+    severity (larger = milder misalignment).
     """
 
     a0: float
     xi2: float
     rx_beam_waist_m: float
-    erf_arg_v: float = field(default=float("nan"), compare=False)
-    equiv_beam_waist_m: float = field(default=float("nan"), compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.a0 <= 1.0):
@@ -208,13 +205,7 @@ def pointing_params(
         / (2.0 * v * math.exp(-v * v))
     )
     xi = math.sqrt(w_eq2) / (2.0 * jitter_sigma_m)
-    return PointingParams(
-        a0=a0,
-        xi2=xi * xi,
-        rx_beam_waist_m=rx_beam_waist_m,
-        erf_arg_v=v,
-        equiv_beam_waist_m=math.sqrt(w_eq2),
-    )
+    return PointingParams(a0=a0, xi2=xi * xi, rx_beam_waist_m=rx_beam_waist_m)
 
 
 # ---------------------------------------------------------------------------

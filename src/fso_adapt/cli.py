@@ -189,14 +189,10 @@ class RunConfig:
         env = os.environ.get("FSO_ADAPT_WORKERS")
         if env:
             workers = _checked("FSO_ADAPT_WORKERS", int, env)
-        if getattr(args, "workers", None) is not None:
+        if args.workers is not None:
             workers = args.workers
-        n = self["mc.n_samples"]
-        if getattr(args, "samples", None) is not None:
-            n = args.samples
-        seed = self["mc.seed"]
-        if getattr(args, "seed", None) is not None:
-            seed = args.seed
+        n = self["mc.n_samples"] if args.samples is None else args.samples
+        seed = self["mc.seed"] if args.seed is None else args.seed
         return _checked("mc", McConfig, n_samples=n, seed=seed, workers=workers)
 
     def snr_grid(self):
@@ -414,22 +410,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, sampling=False):
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--workers", type=int)
+        if sampling:
+            # read by RunConfig.mc, so only the subcommands that sample take them
+            p.add_argument("--seed", type=int)
+            p.add_argument("--samples", type=int)
+            p.add_argument("--workers", type=int)
+        return p
 
     common(sub.add_parser("params", help="derived channel parameters"))
-    common(sub.add_parser("ase", help="spectral-efficiency sweep over the SNR grid"))
-    p = sub.add_parser("required-snr", help="required SNR for target efficiencies")
-    common(p)
+    common(sub.add_parser("ase", help="spectral-efficiency sweep over the SNR grid"), True)
+    p = common(sub.add_parser("required-snr", help="required SNR for target efficiencies"))
     p.add_argument("--targets", help="comma-separated bits/s/Hz targets")
-    common(sub.add_parser("mc", help="Monte Carlo estimates and power audits"))
-    p = sub.add_parser("reproduce", help="regenerate a published table or figure dataset")
-    common(p)
+    common(sub.add_parser("mc", help="Monte Carlo estimates and power audits"), True)
+    p = common(sub.add_parser("reproduce", help="regenerate a published table or figure dataset"))
     p.add_argument(
         "artifact", choices=["table2", "table3", "fig2", "fig3", "fig4"]
     )

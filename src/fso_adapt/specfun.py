@@ -2,8 +2,10 @@
 
 Everything here is scalar-oriented and pure: log-gamma, digamma, the
 fractional-order modified Bessel function of the second kind, and gamma
-variate sampling.  These are the building blocks for the irradiance
-statistics and the spectral-efficiency series.
+variate sampling.  Each is a library call behind a domain check that
+raises ValueError (or SingularOrderError) instead of returning NaN.
+The names stay, rather than callers using math and scipy directly,
+because the benchmark's trace looks them up here.
 """
 
 from __future__ import annotations
@@ -61,88 +63,23 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-# Asymptotic tail coefficients: B_{2n}/(2n), n = 1..7
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-
 def digamma(x: float) -> float:
-    """Digamma function psi(x) for x > 0.
-
-    Upward recurrence psi(x+1) = psi(x) + 1/x shifts the argument to
-    x >= 8, then the standard asymptotic series finishes the job.
-    """
+    """Digamma function psi(x) for x > 0."""
     if not (np.isfinite(x) and x > 0):
         raise ValueError(f"digamma requires finite x > 0, got {x}")
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    p = inv2
-    for c in _DIGAMMA_TAIL:
-        tail -= c * p
-        p *= inv2
-    return acc + math.log(x) - 0.5 / x + tail
+    return float(special.digamma(x))
 
 
-def _bessel_k_series(nu: float, x: float, cfg: SeriesConfig) -> float:
-    # K_nu(x) = pi/(2 sin(pi nu)) * sum_k [ (x/2)^(2k-nu)/(Gamma(k-nu+1) k!)
-    #                                      - (x/2)^(2k+nu)/(Gamma(k+nu+1) k!) ]
-    half = 0.5 * x
-    lh = math.log(half)
-    pref = math.pi / (2.0 * math.sin(math.pi * nu))
-    total = 0.0
-    lkfac = 0.0  # ln k!
-    for k in range(cfg.max_terms):
-        if k > 0:
-            lkfac += math.log(k)
-        term = 0.0
-        for s in (-nu, nu):
-            a = k + s + 1.0
-            if a > 0:
-                t = math.exp((2 * k + s) * lh - math.lgamma(a) - lkfac)
-            elif a == math.floor(a):
-                t = 0.0  # 1/Gamma at a non-positive integer
-            else:
-                # 1/Gamma(a) = sin(pi a) Gamma(1-a) / pi for a < 0
-                t = (
-                    math.exp((2 * k + s) * lh + math.lgamma(1.0 - a) - lkfac)
-                    * math.sin(math.pi * a)
-                    / math.pi
-                )
-            term += t if s == -nu else -t
-        total += term
-        if k > 0 and abs(term) < cfg.convergence_tol * abs(total):
-            break
-    return pref * total
-
-
-def bessel_k_frac(nu: float, x: float, cfg: SeriesConfig | None = None) -> float:
-    """Modified Bessel function of the second kind, non-integer order.
-
-    Uses the ascending power series for x <= 2 and the library evaluation
-    for larger arguments, where the ascending series loses accuracy to
-    cancellation.
-    """
-    cfg = cfg or SeriesConfig()
+def bessel_k_frac(nu: float, x: float) -> float:
+    """Modified Bessel function of the second kind, non-integer order."""
     if not (np.isfinite(x) and x > 0):
         raise ValueError(f"bessel_k_frac requires x > 0, got {x}")
-    if abs(nu - round(nu)) < cfg.singularity_eps:
+    eps = SeriesConfig.singularity_eps
+    if abs(nu - round(nu)) < eps:
         raise SingularOrderError(
-            f"order nu={nu} is within {cfg.singularity_eps} of an integer; "
+            f"order nu={nu} is within {eps} of an integer; "
             "perturb the order before calling"
         )
-    if x <= 2.0:
-        return _bessel_k_series(nu, x, cfg)
     return float(special.kv(nu, x))
 
 

@@ -351,6 +351,27 @@ class TestDiscreteScheme:
         assert len(calls) == len(sizes) - 1
         assert val == pytest.approx(per_rung, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "key", ["weak_gg", "weak_pe", "moderate_gg", "moderate_pe", "strong_gg", "strong_pe"]
+    )
+    def test_saturation_fails_fast(self, models, policy, key, monkeypatch):
+        # the constraint's power stays below (M_max - 1) E[1/I], so the
+        # ladder has a cutoff just below that SNR and none above it
+        m = models[key]
+        sat_db = 10.0 * math.log10(1023.0 * adapt._mean_inv_irradiance(m) / policy.k_margin)
+        below = discrete_ase(SnrSpec.from_db(sat_db - 0.5), policy, m).ase_bits
+        assert math.isfinite(below) and 9.9 < below < 10.0
+        calls = []
+
+        def counting(threshold, model):
+            calls.append(threshold)
+            return mean_inv_above(threshold, model)
+
+        monkeypatch.setattr(adapt, "mean_inv_above", counting)
+        with pytest.raises(SolverBracketError, match=f"{sat_db:.2f} dB"):
+            solve_cutoff_discrete(SnrSpec.from_db(sat_db + 0.5), policy, m)
+        assert calls == []
+
     def test_strong_pointing_does_not_underflow(self, policy):
         # a0^xi2 underflows to 0.0 here (xi2 in the hundreds)
         m = reference_model(12.0, jitter_m=0.003)
@@ -407,11 +428,27 @@ class TestRequiredSnr:
             assert ase_limit(snr, policy, m).ase_bits == pytest.approx(rb, abs=1e-8)
 
     def test_round_trip_through_overflowing_pole(self, policy):
-        # the cutoff search starts far above A0 = 0.037, where xi2 = 5401
-        # overflows the series' misalignment pole
+        # xi2 = 5401, A0 = 0.037: the series' misalignment pole overflows
+        # above A0; the cutoff search starts at A0/2 and stays below it, so
+        # TestAseLimit::test_cutoff_far_above_a0 covers the overflow
         m = reference_model(15.0, jitter_m=0.001)
         snr = adaptive_required_snr(2.0, policy, m)
         assert ase_limit(snr, policy, m).ase_bits == pytest.approx(2.0, abs=1e-8)
+
+    def test_table2_cells_stay_on_the_series(self, models, policy, monkeypatch):
+        # the cutoff search starts below A0, where ase_series never falls
+        # back to the quadrature of E[(ln(I/c))^+]
+        calls = []
+
+        def counting(cutoff, model):
+            calls.append(cutoff)
+            return mean_log_excess(cutoff, model)
+
+        monkeypatch.setattr(adapt, "mean_log_excess", counting)
+        for key in ("weak_gg", "strong_gg", "weak_pe", "strong_pe"):
+            for rb in (2.0, 4.0, 6.0, 8.0, 10.0):
+                adaptive_required_snr(rb, policy, models[key])
+        assert calls == []
 
     @pytest.mark.parametrize("rb", [40.0, 1e-4, 1000.0])
     def test_outside_snr_window(self, models, policy, rb):

@@ -316,6 +316,12 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert key in err and out == ""
 
+    def test_sampling_flags_only_where_read(self, capsys):
+        # params draws no samples, so it does not accept --seed
+        with pytest.raises(SystemExit) as exc:
+            main(["params", "--seed", "3"])
+        assert exc.value.code == EXIT_CONFIG
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(["params", "--config", "/no/such/file.cfg"], capsys)
         assert code == EXIT_CONFIG

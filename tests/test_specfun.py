@@ -98,17 +98,6 @@ class TestBesselK:
             x = rng.uniform(0.05, 6.0)
             assert bessel_k_frac(nu, x) == pytest.approx(bessel_k_frac(-nu, x), rel=1e-10)
 
-    def test_series_matches_large_arg_branch_on_overlap(self):
-        # the two evaluation branches must agree around the switch point
-        cfg = SeriesConfig(max_terms=60)
-        from fso_adapt.specfun import _bessel_k_series
-
-        for nu in (0.4, 1.5371, 2.2911):
-            for x in (1.6, 1.9, 2.0):
-                from scipy.special import kv
-
-                assert _bessel_k_series(nu, x, cfg) == pytest.approx(float(kv(nu, x)), rel=1e-9)
-
     def test_modified_bessel_ode_residual(self):
         rng = np.random.default_rng(5)
         h = 1e-3
