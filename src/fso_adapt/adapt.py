@@ -10,6 +10,7 @@ and solve the long-term power constraint for the cutoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ from .channel import (
     mean_exp_neg,
     mean_inv_above,
     mean_log_excess,
+    moment,
     _misalignment,
     _residue_series,
     _series_accepts,
@@ -98,7 +100,11 @@ class SnrSpec:
 
 @dataclass(frozen=True)
 class AdaptiveSolution:
-    """Solved cutoff with the resulting spectral efficiency and diagnostics."""
+    """Solved cutoff with the resulting spectral efficiency and diagnostics.
+
+    iterations counts the distinct evaluations of the constraint that the
+    solve made, bracket search and brentq together.
+    """
 
     cutoff: float
     ase_bits: float
@@ -158,23 +164,29 @@ def optimal_power(i: float, cutoff: float, policy: BerPolicy) -> float:
 # continuous-rate solution
 
 
-def _bracket_and_solve(fun, start: float = 1.0, max_grow: int = 200):
-    """Find a sign change of a decreasing function of the cutoff, then solve."""
-    hi = start
+def _bracket_and_solve(fun, lo: float, hi: float, max_grow: int = 200):
+    """Root of a decreasing function, searched from the guess bracket (lo, hi).
+
+    An end that fails its sign moves by a factor 2 and the other end
+    follows it, so brentq never gets a bracket wider than the guess or a
+    factor 2.  Each trial point is evaluated once.  Returns the root, the
+    residual there and the number of distinct evaluations.
+    """
+    fun = functools.cache(fun)
     grow = 0
     while fun(hi) > 0:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
         grow += 1
         if grow > max_grow:
             raise SolverBracketError("no upper bracket found for the cutoff")
-    lo = hi / 2.0
     while fun(lo) < 0:
-        lo /= 2.0
+        lo, hi = 0.5 * lo, lo
         grow += 1
         if grow > max_grow:
             raise SolverBracketError("no lower bracket found for the cutoff")
-    root, res = brentq(fun, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200, full_output=True)
-    return root, res.iterations
+    root = brentq(fun, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+    # brentq returns a point it has evaluated, so the residual is cached
+    return root, fun(root), fun.cache_info().currsize
 
 
 def solve_cutoff_continuous(
@@ -182,17 +194,22 @@ def solve_cutoff_continuous(
 ) -> AdaptiveSolution:
     """Cutoff irradiance of the water-filling policy at the given average SNR.
 
-    Solves E[(1/cutoff - 1/I)^+] = k_margin * SNR; the left side is
-    continuous and strictly decreasing in the cutoff, so the root is unique.
+    Solves E[(1/cutoff - 1/I)^+] = k_margin * SNR in x = 1/cutoff, where
+    the left side is convex and increasing with slope 1 - F(1/x) in
+    [0, 1], so the root is unique.  The left side lies between
+    x - E[1/I] and x, which brackets the root in [t, t + E[1/I]] with
+    t = k_margin * SNR; when E[1/I] is infinite the search walks up from 2t.
     """
-    target = policy.k_margin * snr.snr_linear
-    fun = lambda c: mean_excess_inv(c, m) - target
-    root, iters = _bracket_and_solve(fun)
+    t = policy.k_margin * snr.snr_linear
+    hi = t + _mean_inv_irradiance(m)
+    x, res, evals = _bracket_and_solve(
+        lambda x: t - mean_excess_inv(1.0 / x, m), t, hi if math.isfinite(hi) else 2.0 * t
+    )
     return AdaptiveSolution(
-        cutoff=root,
+        cutoff=1.0 / x,
         ase_bits=float("nan"),
-        constraint_residual=fun(root),
-        iterations=iters,
+        constraint_residual=-res,
+        iterations=evals,
     )
 
 
@@ -323,13 +340,17 @@ def solve_cutoff_discrete(
             f"the ladder saturates at {sat_db:.2f} dB; "
             f"no cutoff spends {snr.snr_db:.2f} dB"
         )
-    fun = lambda c: _discrete_constraint(c, snr, policy, m, cset)
-    root, iters = _bracket_and_solve(fun, start=0.25)
+    # each active rung spends (M - 1)/I < 1/cutoff, so the constraint is
+    # negative at x = 1/cutoff = t, and rises with x from there
+    t = policy.k_margin * snr.snr_linear
+    x, res, evals = _bracket_and_solve(
+        lambda x: -_discrete_constraint(1.0 / x, snr, policy, m, cset), t, 2.0 * t
+    )
     return AdaptiveSolution(
-        cutoff=root,
+        cutoff=1.0 / x,
         ase_bits=float("nan"),
-        constraint_residual=fun(root),
-        iterations=iters,
+        constraint_residual=-res,
+        iterations=evals,
     )
 
 
@@ -373,13 +394,20 @@ def fixed_required_snr(target_rb: float, target_ber: float, m: ChannelModel) -> 
     msize = 2.0**target_rb
     ln_target = math.log(target_ber / 0.2)
 
+    @functools.cache
     def res(snr_db):
         s = 1.5 * 10.0 ** (snr_db / 10.0) / (msize - 1.0)
         val = mean_exp_neg(s, m)
         return (math.log(val) if val > 0 else -1e6) - ln_target
 
-    lo, hi = -20.0, 90.0
-    if res(lo) < 0 or res(hi) > 0:
+    # the root in s = 1.5 SNR / (M - 1) lies above Jensen's bound, from
+    # E[e^(-sI)] >= e^(-s E[I]), and below the bound from e^(-x) < 1/x,
+    # E[e^(-sI)] < E[1/I] / s
+    s_lo = -ln_target / moment(1, m)
+    s_hi = 0.2 * _mean_inv_irradiance(m) / target_ber
+    db = lambda s: 10.0 * math.log10(s * (msize - 1.0) / 1.5)
+    lo, hi = max(db(s_lo), -20.0), min(db(s_hi), 90.0)
+    if not lo < hi or res(lo) < 0 or res(hi) > 0:
         raise SolverBracketError("fixed-rate SNR bracket failed")
     return SnrSpec.from_db(brentq(res, lo, hi, xtol=1e-9, maxiter=200))
 
@@ -395,16 +423,18 @@ def adaptive_required_snr(
     Both the limit and its SNR are explicit in the cutoff: ASE(cutoff) is
     the closed form and SNR(cutoff) = E[(1/cutoff - 1/I)^+] / k_margin.
     The ASE falls monotonically in the cutoff, so ASE(cutoff) = target_rb
-    has a single root; it is bracketed and solved like the power
-    constraint's cutoff, and the SNR is evaluated there once.  Answers
-    outside [-30, 80] dB raise SolverBracketError.
+    has a single root; it is searched from the guess bracket [A0/4, A0/2],
+    and the SNR is evaluated there once.  Answers outside [-30, 80] dB
+    raise SolverBracketError.
     """
     if not target_rb > 0:
         raise ValueError(f"target_rb must be > 0, got {target_rb}")
 
-    fun = lambda c: ase_series(c, m, cfg) - target_rb
     # ase_series sums its series only up to A0, so the search starts below it
-    cutoff, _ = _bracket_and_solve(fun, start=0.5 * _misalignment(m)[0])
+    a0 = _misalignment(m)[0]
+    cutoff, _, _ = _bracket_and_solve(
+        lambda c: ase_series(c, m, cfg) - target_rb, 0.25 * a0, 0.5 * a0
+    )
     snr_linear = mean_excess_inv(cutoff, m) / policy.k_margin
     if not 1e-3 <= snr_linear <= 1e8:  # -30 to 80 dB
         raise SolverBracketError("adaptive-rate SNR outside [-30, 80] dB")

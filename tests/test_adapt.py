@@ -28,8 +28,10 @@ from fso_adapt.adapt import (
 )
 from fso_adapt.channel import (
     mean_excess_inv,
+    mean_exp_neg,
     mean_inv_above,
     mean_log_excess,
+    moment,
     sample_irradiance,
 )
 
@@ -53,6 +55,8 @@ REQUIRED_SNR_SPOTS = [
 # alpha - beta = 2 on the reference geometry: the cosec coefficient of the
 # closed-form series is singular there
 SIGMA_R2_INTEGER_ORDER = 1.3490433908855886
+
+MODEL_KEYS = ["weak_gg", "weak_pe", "moderate_gg", "moderate_pe", "strong_gg", "strong_pe"]
 
 
 class TestBerPolicy:
@@ -351,9 +355,7 @@ class TestDiscreteScheme:
         assert len(calls) == len(sizes) - 1
         assert val == pytest.approx(per_rung, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize(
-        "key", ["weak_gg", "weak_pe", "moderate_gg", "moderate_pe", "strong_gg", "strong_pe"]
-    )
+    @pytest.mark.parametrize("key", MODEL_KEYS)
     def test_saturation_fails_fast(self, models, policy, key, monkeypatch):
         # the constraint's power stays below (M_max - 1) E[1/I], so the
         # ladder has a cutoff just below that SNR and none above it
@@ -379,6 +381,50 @@ class TestDiscreteScheme:
         disc = discrete_ase(snr, policy, m).ase_bits
         assert math.isfinite(disc)
         assert 0.0 <= disc <= ase_limit(snr, policy, m).ase_bits
+
+
+class TestCutoffBrackets:
+    @pytest.mark.parametrize("key", MODEL_KEYS)
+    def test_bounds_hold_below_saturation(self, models, policy, key):
+        # the closed-form brackets the cutoff and fixed-rate solves start from
+        m = models[key]
+        inv_mean = adapt._mean_inv_irradiance(m)
+        sat_db = 10.0 * math.log10(1023.0 * inv_mean / policy.k_margin)
+        cset = ConstellationSet()
+        for db in [-10.0, 0.0, 10.0, 20.0, 30.0, sat_db - 0.5]:
+            if db > sat_db - 0.5:
+                continue
+            snr = SnrSpec.from_db(db)
+            t = policy.k_margin * snr.snr_linear
+            assert mean_excess_inv(1.0 / (t + inv_mean), m) >= t
+            assert mean_excess_inv(1.0 / t, m) <= t
+            assert adapt._discrete_constraint(1.0 / t, snr, policy, m, cset) <= 0.0
+        mean = moment(1, m)
+        for s in (0.1, 1.0, 10.0, 100.0, 1000.0):
+            assert math.exp(-s * mean) <= mean_exp_neg(s, m) <= inv_mean / s
+
+    def test_each_point_evaluated_once(self, models, policy, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapped(c, *args):
+                calls.append(c)
+                return fn(c, *args)
+
+            return wrapped
+
+        for name in ("_discrete_constraint", "mean_excess_inv"):
+            monkeypatch.setattr(adapt, name, counting(getattr(adapt, name)))
+        total = 0
+        for m in models.values():
+            for db in range(0, 31, 5):
+                snr = SnrSpec.from_db(db)
+                for solve in (solve_cutoff_continuous, solve_cutoff_discrete):
+                    calls.clear()
+                    sol = solve(snr, policy, m)
+                    assert len(set(calls)) == len(calls) == sol.iterations
+                    total += len(calls)
+        assert total <= 800
 
 
 class TestRequiredSnr:

@@ -2,9 +2,12 @@ import csv
 import io
 import math
 import os
+import warnings
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
+from fso_adapt import cli
 from fso_adapt.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -302,6 +305,15 @@ class TestExitCodes:
         assert code == 3
         assert "nan" in out
 
+    def test_arithmetic_error_is_three(self, monkeypatch, capsys):
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "ase_limit", overflow)
+        code, _, err = run_cli(["ase"], capsys)
+        assert code == EXIT_NUMERIC
+        assert err.splitlines() == ["numerical error: math range error"]
+
     @pytest.mark.parametrize(
         "argv, key",
         [
@@ -325,3 +337,20 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(["params", "--config", "/no/such/file.cfg"], capsys)
         assert code == EXIT_CONFIG
+
+
+class TestTable:
+    def test_quadrature_warnings_counted_per_row(self, tmp_path, capsys):
+        def noisy():
+            warnings.warn("roundoff", IntegrationWarning)
+            warnings.warn("roundoff", IntegrationWarning)
+            return ["1.0"]
+
+        path = tmp_path / "t.csv"
+        rows = [(["20"], noisy), (["30"], lambda: ["2.0"])]
+        code = cli._table(str(path), ["snr_db", "v"], rows)
+        assert code == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: snr_db=20: 2 quadrature warnings"
+        ]
+        assert read_csv(path.read_text()) == [["snr_db", "v"], ["20", "1.0"], ["30", "2.0"]]
