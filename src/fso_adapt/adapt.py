@@ -14,6 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .channel import (
@@ -24,6 +25,7 @@ from .channel import (
     mean_inv_above,
     mean_log_excess,
     moment,
+    _inv_moment,
     _misalignment,
     _residue_series,
     _series_accepts,
@@ -222,11 +224,9 @@ def _mean_log_irradiance(m: ChannelModel) -> float:
 
 def _mean_inv_irradiance(m: ChannelModel) -> float:
     """E[1/I] = ab / ((a-1)(b-1) A0) * xi2/(xi2-1); inf once min(a, b, xi2) <= 1."""
-    a, b = m.alpha, m.beta
-    a0, xi2 = _misalignment(m)
-    if min(a, b, xi2) <= 1.0:
+    if min(m.alpha, m.beta, _misalignment(m)[1]) <= 1.0:
         return math.inf
-    return a * b / ((a - 1.0) * (b - 1.0) * a0) / (1.0 - 1.0 / xi2)
+    return _inv_moment(m)
 
 
 def ase_series(cutoff: float, m: ChannelModel, cfg: SeriesConfig | None = None) -> float:
@@ -312,8 +312,9 @@ def discrete_power(i: float, region_m: int, policy: BerPolicy) -> float:
 def _discrete_constraint(cutoff_star, snr, policy, m, cset):
     sizes = cset.sizes
     # the upper edge of each rung is the lower edge of the next, so each
-    # boundary's tail E[1/I; I >= size * cutoff_star] is evaluated once
-    tails = [mean_inv_above(s * cutoff_star, m) for s in sizes[1:]] + [0.0]
+    # boundary's tail E[1/I; I >= size * cutoff_star] is evaluated once,
+    # all in one call
+    tails = [*mean_inv_above(np.multiply(sizes[1:], cutoff_star), m), 0.0]
     total = 0.0
     for i in range(1, len(sizes)):
         total += (sizes[i] - 1.0) * (tails[i - 1] - tails[i])
@@ -365,7 +366,7 @@ def discrete_ase(
     cset = cset or ConstellationSet()
     sol = solve_cutoff_discrete(snr, policy, m, cset)
     sizes = cset.sizes
-    cdf_vals = [composite_cdf(s * sol.cutoff, m, cfg) for s in sizes[1:]] + [1.0]
+    cdf_vals = [*composite_cdf(np.multiply(sizes[1:], sol.cutoff), m, cfg), 1.0]
     bits = 0.0
     for i in range(1, len(sizes)):
         bits += math.log2(sizes[i]) * (cdf_vals[i] - cdf_vals[i - 1])

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from fso_adapt import adapt
+from fso_adapt import adapt, channel
 from fso_adapt.adapt import (
     LN2,
     AdaptiveSolution,
@@ -347,12 +348,14 @@ class TestDiscreteScheme:
         calls = []
 
         def counting(threshold, model):
-            calls.append(threshold)
+            calls.append(np.asarray(threshold))
             return mean_inv_above(threshold, model)
 
         monkeypatch.setattr(adapt, "mean_inv_above", counting)
         val = adapt._discrete_constraint(cutoff, snr, policy, m, cset)
-        assert len(calls) == len(sizes) - 1
+        # one call carries every boundary
+        assert len(calls) == 1
+        assert len(set(calls[0].tolist())) == calls[0].size == len(sizes) - 1
         assert val == pytest.approx(per_rung, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("key", MODEL_KEYS)
@@ -381,6 +384,35 @@ class TestDiscreteScheme:
         disc = discrete_ase(snr, policy, m).ase_bits
         assert math.isfinite(disc)
         assert 0.0 <= disc <= ase_limit(snr, policy, m).ase_bits
+
+
+class TestRoutes:
+    def test_sweep_quadrature_only_in_log_excess_fallback(self, models, policy, monkeypatch):
+        # the cutoff solves, the ladder and its distribution run on the
+        # series and the tail rule; quadrature is left to the log-excess
+        # fallback of ase_series above A0
+        depth = [0]
+        inside = []
+
+        def log_excess(cutoff, model):
+            depth[0] += 1
+            try:
+                return mean_log_excess(cutoff, model)
+            finally:
+                depth[0] -= 1
+
+        def counting_quad(*args, **kwargs):
+            inside.append(depth[0] > 0)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(adapt, "mean_log_excess", log_excess)
+        monkeypatch.setattr(channel, "quad", counting_quad)
+        for m in models.values():
+            for db in range(0, 31, 5):
+                snr = SnrSpec.from_db(db)
+                ase_limit(snr, policy, m)
+                discrete_ase(snr, policy, m)
+        assert all(inside), f"{inside.count(False)} quad calls outside mean_log_excess"
 
 
 class TestCutoffBrackets:

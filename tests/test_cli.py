@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from fso_adapt import cli
+from fso_adapt.adapt import SnrSpec, solve_cutoff_discrete
 from fso_adapt.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -17,6 +18,7 @@ from fso_adapt.cli import (
     main,
     parse_config_file,
 )
+from oracle import inv_above_tight, tail_tight
 
 
 def run_cli(argv, capsys):
@@ -354,3 +356,50 @@ class TestTable:
             "warning: snr_db=20: 2 quadrature warnings"
         ]
         assert read_csv(path.read_text()) == [["snr_db", "v"], ["20", "1.0"], ["30", "2.0"]]
+
+
+class TestStrongPointingRows:
+    """ase rows whose ladder boundaries lie far above A0.
+
+    At these points every ladder boundary used to be a quadrature, and
+    each row raised over a hundred IntegrationWarnings; the tail rule
+    raises none.
+    """
+
+    @pytest.mark.parametrize(
+        "sigma_r2, jitter_m, snr_db",
+        [(6.6, 0.0017, 55.0), (12.0, 0.003, 60.0)],
+    )
+    def test_row_is_quiet_and_matches_tight_quadrature(self, sigma_r2, jitter_m, snr_db, capsys):
+        overrides = [
+            f"turbulence.sigma_r2={sigma_r2}",
+            f"geometry.jitter_sigma_m={jitter_m}",
+            f"snr.start_db={snr_db}",
+            f"snr.stop_db={snr_db}",
+        ]
+        argv = ["ase", "--samples", "1000"]
+        for item in overrides:
+            argv += ["--set", item]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert "quadrature" not in err
+        rows = read_csv(out)
+        printed = float(rows[1][rows[0].index("ase_discrete")])
+
+        # the ladder at the library's cutoff, every boundary by the oracle
+        config = RunConfig.load(None, overrides)
+        m, policy, cset = config.channel_model(), config.policy(), config.constellations()
+        snr = SnrSpec.from_db(snr_db)
+        cutoff = solve_cutoff_discrete(snr, policy, m, cset).cutoff
+        sizes = cset.sizes
+        edges = [s * cutoff for s in sizes[1:]]
+        surv = [tail_tight(c, m) for c in edges] + [0.0]
+        inv = [inv_above_tight(c, m) for c in edges] + [0.0]
+        bits = sum(
+            math.log2(sizes[i]) * (surv[i - 1] - surv[i]) for i in range(1, len(sizes))
+        )
+        power = sum(
+            (sizes[i] - 1.0) * (inv[i - 1] - inv[i]) for i in range(1, len(sizes))
+        )
+        assert printed == pytest.approx(bits, abs=5e-5)
+        assert power == pytest.approx(policy.k_margin * snr.snr_linear, rel=1e-8)
