@@ -585,17 +585,49 @@ def moment(n: float, m: ChannelModel) -> float:
     return math.exp(ln_turb) * a0**n / (1.0 + n / xi2)
 
 
-def sample_irradiance(m: ChannelModel, rng: np.random.Generator, size=None):
-    """Draw composite irradiance samples; scalar for size=None, else array."""
+# samples per block of the second gamma factor and of the pointing factor
+_SAMPLE_BLOCK = 1 << 16
+
+
+def sample_irradiance(m: ChannelModel, rng: np.random.Generator, size=None, out=None):
+    """Draw composite irradiance samples; scalar for size=None, else array.
+
+    An array is written into ``out`` when given (C-contiguous float64 of
+    shape ``size``) and returned.  It draws the stream of
+    ``rng.gamma(a, 1/a) * rng.gamma(b, 1/b) * A0 * rng.uniform() ** (1/xi2)``
+    bit for bit: numpy's gamma is its scale times ``standard_gamma``,
+    ``uniform()`` is ``random()``, and consecutive block draws equal one
+    draw of their total size, so the last two factors need only one
+    block-sized scratch.
+    """
     a, b = m.alpha, m.beta
-    ia = sample_gamma(a, 1.0 / a, rng, size=size) * sample_gamma(b, 1.0 / b, rng, size=size)
-    if m.pointing is None:
+    p = m.pointing
+    if size is None and out is None:
+        ia = sample_gamma(a, 1.0 / a, rng) * sample_gamma(b, 1.0 / b, rng)
+        if p is None:
+            return ia
+        return ia * (p.a0 * rng.uniform() ** (1.0 / p.xi2))
+    if out is None:
+        out = np.empty(size)
+    rng.standard_gamma(a, size=size, out=out)
+    out *= 1.0 / a
+    flat = out.reshape(-1)
+    scratch = np.empty(min(flat.size, _SAMPLE_BLOCK))
+    blocks = [(s, scratch[: flat.size - s]) for s in range(0, flat.size, _SAMPLE_BLOCK)]
+    for start, blk in blocks:
+        rng.standard_gamma(b, out=blk)
+        blk *= 1.0 / b
+        flat[start : start + blk.size] *= blk
+    if p is None:
         # I_p = 1 needs no uniform draw, and drawing one would shift the
         # random stream of every pointing-free Monte Carlo estimate
-        return ia
-    p = m.pointing
-    ip = p.a0 * rng.uniform(size=size) ** (1.0 / p.xi2)
-    return ia * ip
+        return out
+    for start, blk in blocks:
+        rng.random(out=blk)
+        blk **= 1.0 / p.xi2
+        blk *= p.a0
+        flat[start : start + blk.size] *= blk
+    return out
 
 
 # ---------------------------------------------------------------------------

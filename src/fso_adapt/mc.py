@@ -5,13 +5,17 @@ audits of the average-power constraints, and a symbol-level Gray-coded
 square-QAM simulator for validating the exponential BER bound.
 
 Determinism contract: for a fixed (seed, workers, n_samples) triple the
-results are bit-stable; per-worker streams are spawned from the seed and
-partial results are combined in worker order.
+results are bit-stable on any machine; per-worker streams are spawned
+from the seed, drawn concurrently on a thread pool of at most one thread
+per available CPU, and combined in worker order.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,19 +100,63 @@ def _worker_chunks(cfg: McConfig):
     return out
 
 
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> concurrent.futures.ThreadPoolExecutor:
+    """The sampling pool, created on first use with one thread per available CPU."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                cpus = os.cpu_count() or 1
+            _POOL = concurrent.futures.ThreadPoolExecutor(cpus, "fso-adapt-mc")
+    return _POOL
+
+
 def _reduce_mean(model: ChannelModel, cfg: McConfig, transform):
-    """Mean and standard error of transform(I) over the configured samples."""
+    """Mean and standard error of transform(I) over the configured samples.
+
+    numpy's generators release the GIL while they fill an array, so the
+    streams are drawn on the pool.  Every stream buffer is allocated here,
+    in the calling thread: glibc gives each thread its own malloc arena,
+    which keeps its peak.  ``transform`` may overwrite the buffer it is
+    given; it and the sums run here, stream by stream in worker order.
+    """
+    pool = _pool()
+    futures = [
+        pool.submit(sample_irradiance, model, rng, size=count, out=np.empty(count))
+        for rng, count in _worker_chunks(cfg)
+    ]
     total = 0.0
     total_sq = 0.0
-    n = 0
-    for rng, count in _worker_chunks(cfg):
-        vals = transform(sample_irradiance(model, rng, size=count))
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        n += count
+    try:
+        for fut in futures:
+            vals = transform(fut.result())
+            total += float(np.sum(vals))
+            np.multiply(vals, vals, out=vals)
+            total_sq += float(np.sum(vals))
+    except BaseException:
+        # no stream may run on, or fail unread, after the call has returned
+        for fut in futures:
+            fut.cancel()
+        concurrent.futures.wait(futures)
+        raise
+    n = cfg.n_samples
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
+
+
+def _region(bounds, i):
+    """Ladder region of each sample: the number of sorted bounds at or below it."""
+    idx = np.zeros(i.shape, dtype=np.intp)
+    for b in bounds:
+        idx += i >= b
+    return idx
 
 
 def estimate_ase_mc(
@@ -127,7 +175,10 @@ def estimate_ase_mc(
         cutoff = solve_cutoff_continuous(snr, policy, model).cutoff
 
     def bits(i):
-        return np.maximum(np.log2(np.maximum(i, 1e-300) / cutoff), 0.0)
+        np.maximum(i, 1e-300, out=i)
+        i /= cutoff
+        np.log2(i, out=i)
+        return np.maximum(i, 0.0, out=i)
 
     return _reduce_mean(model, cfg, bits)
 
@@ -148,8 +199,7 @@ def estimate_discrete_ase_mc(
     bits_by_region = np.concatenate(([0.0], np.log2(sizes[1:])))
 
     def bits(i):
-        idx = np.searchsorted(bounds, i, side="right")
-        return bits_by_region[idx]
+        return np.take(bits_by_region, _region(bounds, i), out=i, mode="clip")
 
     return _reduce_mean(model, cfg, bits)
 
@@ -174,6 +224,8 @@ def simulate_qam_ber(cfg: QamSimConfig, rng: np.random.Generator):
     noise_std = math.sqrt(0.5 / gamma)
     idx = np.arange(levels)
     gray = idx ^ (idx >> 1)
+    # bit errors of each (sent, detected) level pair, at sent * levels + detected
+    pair_errors = _POPCOUNT[gray[:, None] ^ gray].reshape(-1)
 
     errors = 0
     remaining = cfg.n_symbols
@@ -181,11 +233,26 @@ def simulate_qam_ber(cfg: QamSimConfig, rng: np.random.Generator):
         n = min(remaining, _CHUNK)
         remaining -= n
         for _axis in range(2):  # I and Q axes are independent and identical
+            # y = (2 tx - (L - 1)) scale + noise_std N, detected as
+            # clip(rint((y / scale + L - 1) / 2)), in place
             tx = rng.integers(0, levels, size=n)
-            y = (2 * tx - (levels - 1)) * scale + noise_std * rng.standard_normal(n)
-            rx = np.clip(np.rint((y / scale + (levels - 1)) / 2.0), 0, levels - 1)
-            rx = rx.astype(np.int64)
-            errors += int(np.sum(_POPCOUNT[gray[tx] ^ gray[rx]]))
+            rx = 2 * tx
+            rx -= levels - 1
+            y = rx * scale
+            noise = rng.standard_normal(n)
+            noise *= noise_std
+            y += noise
+            y /= scale
+            y += levels - 1
+            y /= 2.0
+            np.rint(y, out=y)
+            np.clip(y, 0, levels - 1, out=y)
+            np.copyto(rx, y, casting="unsafe")
+            tx *= levels
+            tx += rx
+            # mode="clip": take with out= and the default "raise" fills a hidden copy
+            errors += int(np.sum(np.take(pair_errors, tx, out=rx, mode="clip")))
+            del tx, rx, y, noise  # freed before the next axis draws its own
     n_bits = cfg.n_symbols * bits_per_symbol
     ber = errors / n_bits
     return ber, math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
@@ -206,7 +273,12 @@ def audit_power_constraint(
     if scheme == "continuous":
 
         def power(i):
-            return np.maximum(1.0 / cutoff - 1.0 / np.maximum(i, 1e-300), 0.0) / k
+            np.maximum(i, 1e-300, out=i)
+            np.divide(1.0, i, out=i)
+            np.subtract(1.0 / cutoff, i, out=i)
+            np.maximum(i, 0.0, out=i)
+            i /= k
+            return i
 
     elif scheme == "discrete":
         cset = cset or ConstellationSet()
@@ -215,8 +287,10 @@ def audit_power_constraint(
         m_minus_1 = np.concatenate(([0.0], sizes[1:] - 1.0))
 
         def power(i):
-            idx = np.searchsorted(bounds, i, side="right")
-            return m_minus_1[idx] / (k * np.maximum(i, 1e-300))
+            idx = _region(bounds, i)
+            np.maximum(i, 1e-300, out=i)
+            i *= k
+            return np.divide(m_minus_1[idx], i, out=i)
 
     else:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -425,6 +425,26 @@ class TestSampling:
         draws = sample_irradiance(models["weak_pe"], rng, size=1000)
         assert np.all(draws > 0)
 
+    @pytest.mark.parametrize("size", [1, 65_535, 65_536, 65_537, 200_003, (3, 70_001)])
+    @pytest.mark.parametrize("key", ["moderate_gg", "moderate_pe"])
+    @pytest.mark.parametrize("use_out", [False, True])
+    def test_block_draws_match_one_draw(self, models, key, size, use_out):
+        # the gamma product and the pointing factor drawn whole, in one stream
+        m = models[key]
+        rng = np.random.Generator(np.random.Philox(12))
+        a, b = m.alpha, m.beta
+        want = rng.gamma(a, 1.0 / a, size=size) * rng.gamma(b, 1.0 / b, size=size)
+        if m.pointing is not None:
+            p = m.pointing
+            want = want * (p.a0 * rng.uniform(size=size) ** (1.0 / p.xi2))
+        after = rng.random()
+        rng = np.random.Generator(np.random.Philox(12))
+        out = np.empty(size) if use_out else None
+        got = sample_irradiance(m, rng, size=size, out=out)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert out is None or got is out
+        assert rng.random() == after
+
 
 class TestExpectationHelpers:
     @pytest.mark.parametrize("key", ["weak_gg", "weak_pe", "strong_pe"])

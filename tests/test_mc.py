@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from fso_adapt.mc import (
     estimate_discrete_ase_mc,
     simulate_qam_ber,
 )
+from fso_adapt import mc
 
 
 class TestConfigs:
@@ -68,6 +72,105 @@ class TestDeterminism:
         _, se1 = estimate_ase_mc(snr, policy, m, McConfig(n_samples=10_000, seed=3, workers=3))
         _, se2 = estimate_ase_mc(snr, policy, m, McConfig(n_samples=40_000, seed=3, workers=3))
         assert se2 == pytest.approx(se1 / 2.0, rel=0.2)
+
+
+def _sequential_mean(model, cfg, transform):
+    """The estimators' mean and standard error, one stream after another."""
+    total = total_sq = 0.0
+    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
+    base, extra = divmod(cfg.n_samples, cfg.workers)
+    for idx, seq in enumerate(seqs):
+        n = base + (1 if idx < extra else 0)
+        if not n:
+            continue
+        rng = np.random.Generator(np.random.Philox(seq))
+        a, b = model.alpha, model.beta
+        i = rng.gamma(a, 1.0 / a, size=n) * rng.gamma(b, 1.0 / b, size=n)
+        if model.pointing is not None:
+            p = model.pointing
+            i = i * (p.a0 * rng.uniform(size=n) ** (1.0 / p.xi2))
+        vals = transform(i)
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+    mean = total / cfg.n_samples
+    return mean, math.sqrt(max(total_sq / cfg.n_samples - mean * mean, 0.0) / cfg.n_samples)
+
+
+class TestConcurrentStreams:
+    """Streams drawn on the pool give the sequential reduction bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 64])
+    @pytest.mark.parametrize("key", ["weak_gg", "strong_pe"])
+    def test_matches_sequential_reference(self, models, policy, key, workers):
+        m = models[key]
+        snr = SnrSpec.from_db(15.0)
+        cfg = McConfig(n_samples=100_003, seed=17, workers=workers)
+        k = policy.k_margin
+        cset = ConstellationSet()
+        sizes = np.array(cset.sizes, dtype=float)
+        sol_c = solve_cutoff_continuous(snr, policy, m)
+        sol_d = solve_cutoff_discrete(snr, policy, m, cset)
+        c, d = sol_c.cutoff, sol_d.cutoff
+        bits_by_region = np.concatenate(([0.0], np.log2(sizes[1:])))
+        m_minus_1 = np.concatenate(([0.0], sizes[1:] - 1.0))
+
+        def region(i):
+            return np.searchsorted(sizes[1:] * d, i, side="right")
+
+        def audit(sol, scheme):
+            rep = audit_power_constraint(snr, policy, m, sol, cfg, scheme, cset)
+            return rep.empirical_power, rep.std_error
+
+        cases = [
+            (
+                estimate_ase_mc(snr, policy, m, cfg, cutoff=c),
+                lambda i: np.maximum(np.log2(np.maximum(i, 1e-300) / c), 0.0),
+            ),
+            (
+                estimate_discrete_ase_mc(snr, policy, m, cset, cfg, cutoff=d),
+                lambda i: bits_by_region[region(i)],
+            ),
+            (
+                audit(sol_c, "continuous"),
+                lambda i: np.maximum(1.0 / c - 1.0 / np.maximum(i, 1e-300), 0.0) / k,
+            ),
+            (
+                audit(sol_d, "discrete"),
+                lambda i: m_minus_1[region(i)] / (k * np.maximum(i, 1e-300)),
+            ),
+        ]
+        for got, expr in cases:
+            want = _sequential_mean(m, cfg, expr)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_concurrent_callers_share_the_capped_pool(self, models, policy):
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        m = models["weak_pe"]
+        snr = SnrSpec.from_db(10.0)
+        cfg = McConfig(n_samples=64_000, seed=5, workers=64)
+        before = threading.active_count()
+        want = estimate_ase_mc(snr, policy, m, cfg)
+        assert threading.active_count() - before <= cpus
+        got = []
+        callers = [
+            threading.Thread(target=lambda: got.append(estimate_ase_mc(snr, policy, m, cfg)))
+            for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [want] * 4
+        assert threading.active_count() - before <= cpus
 
 
 class TestContinuousAseMc:
@@ -172,6 +275,32 @@ class TestQamSimulator:
             QamSimConfig(m=16, inst_snr_db=db, n_symbols=2_000_000), rng
         )
         assert abs(ber - expect) <= 5 * se
+
+    @pytest.mark.parametrize("m", [4, 64, 1024])
+    @pytest.mark.parametrize("n_symbols", [1_000, mc._CHUNK + 3])
+    def test_matches_out_of_place_expression(self, m, n_symbols):
+        cfg = QamSimConfig(m=m, inst_snr_db=14.0, n_symbols=n_symbols)
+        levels = int(round(math.sqrt(m)))
+        scale = math.sqrt(1.5 / (m - 1.0))
+        noise_std = math.sqrt(0.5 / 10.0**1.4)
+        idx = np.arange(levels)
+        gray = idx ^ (idx >> 1)
+        popcount = np.array([bin(v).count("1") for v in range(64)])
+        rng = np.random.default_rng(8)
+        errors = 0
+        remaining = n_symbols
+        while remaining > 0:
+            n = min(remaining, mc._CHUNK)
+            remaining -= n
+            for _axis in range(2):
+                tx = rng.integers(0, levels, size=n)
+                y = (2 * tx - (levels - 1)) * scale + noise_std * rng.standard_normal(n)
+                rx = np.clip(np.rint((y / scale + (levels - 1)) / 2.0), 0, levels - 1)
+                errors += int(np.sum(popcount[gray[tx] ^ gray[rx.astype(np.int64)]]))
+        n_bits = n_symbols * int(round(math.log2(m)))
+        ber = errors / n_bits
+        want = (ber, math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits))
+        assert simulate_qam_ber(cfg, np.random.default_rng(8)) == want
 
     def test_zero_noise_limit(self):
         rng = np.random.default_rng(7)
