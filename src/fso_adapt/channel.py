@@ -25,7 +25,6 @@ from .specfun import (
     SeriesConfig,
     SingularOrderError,
     ln_gamma,
-    sample_gamma,
 )
 
 __all__ = [
@@ -598,17 +597,14 @@ def sample_irradiance(m: ChannelModel, rng: np.random.Generator, size=None, out=
     bit for bit: numpy's gamma is its scale times ``standard_gamma``,
     ``uniform()`` is ``random()``, and consecutive block draws equal one
     draw of their total size, so the last two factors need only one
-    block-sized scratch.
+    block-sized scratch.  A scalar is the one-sample array's value.
     """
-    a, b = m.alpha, m.beta
-    p = m.pointing
-    if size is None and out is None:
-        ia = sample_gamma(a, 1.0 / a, rng) * sample_gamma(b, 1.0 / b, rng)
-        if p is None:
-            return ia
-        return ia * (p.a0 * rng.uniform() ** (1.0 / p.xi2))
+    scalar = size is None and out is None
     if out is None:
-        out = np.empty(size)
+        out = np.empty(1 if scalar else size)
+    elif not (out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array")
+    a, b = m.alpha, m.beta
     rng.standard_gamma(a, size=size, out=out)
     out *= 1.0 / a
     flat = out.reshape(-1)
@@ -618,16 +614,16 @@ def sample_irradiance(m: ChannelModel, rng: np.random.Generator, size=None, out=
         rng.standard_gamma(b, out=blk)
         blk *= 1.0 / b
         flat[start : start + blk.size] *= blk
-    if p is None:
+    p = m.pointing
+    if p is not None:
         # I_p = 1 needs no uniform draw, and drawing one would shift the
         # random stream of every pointing-free Monte Carlo estimate
-        return out
-    for start, blk in blocks:
-        rng.random(out=blk)
-        blk **= 1.0 / p.xi2
-        blk *= p.a0
-        flat[start : start + blk.size] *= blk
-    return out
+        for start, blk in blocks:
+            rng.random(out=blk)
+            blk **= 1.0 / p.xi2
+            blk *= p.a0
+            flat[start : start + blk.size] *= blk
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ per available CPU, and combined in worker order.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,50 +100,51 @@ def _worker_chunks(cfg: McConfig):
     return out
 
 
-_POOL = None
-_POOL_LOCK = threading.Lock()
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
-def _pool() -> concurrent.futures.ThreadPoolExecutor:
-    """The sampling pool, created on first use with one thread per available CPU."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity call on this platform
-                cpus = os.cpu_count() or 1
-            _POOL = concurrent.futures.ThreadPoolExecutor(cpus, "fso-adapt-mc")
-    return _POOL
+# one thread per available CPU; the executor starts its threads on first submit
+_THREADS = _cpus()
+_POOL = concurrent.futures.ThreadPoolExecutor(_THREADS, "fso-adapt-mc")
 
 
 def _reduce_mean(model: ChannelModel, cfg: McConfig, transform):
     """Mean and standard error of transform(I) over the configured samples.
 
     numpy's generators release the GIL while they fill an array, so the
-    streams are drawn on the pool.  Every stream buffer is allocated here,
-    in the calling thread: glibc gives each thread its own malloc arena,
-    which keeps its peak.  ``transform`` may overwrite the buffer it is
-    given; it and the sums run here, stream by stream in worker order.
+    streams are drawn on the pool, at most one per pool thread ahead of
+    the sums, which bounds the buffers alive at once.  Every stream
+    buffer is allocated here, in the calling thread: glibc gives each
+    thread its own malloc arena, which keeps its peak.  ``transform`` may
+    overwrite the buffer it is given; it and the sums run here, stream by
+    stream in worker order.
     """
-    pool = _pool()
-    futures = [
-        pool.submit(sample_irradiance, model, rng, size=count, out=np.empty(count))
-        for rng, count in _worker_chunks(cfg)
-    ]
+    waiting = collections.deque(_worker_chunks(cfg))
+    drawing = collections.deque()
     total = 0.0
     total_sq = 0.0
     try:
-        for fut in futures:
-            vals = transform(fut.result())
+        while waiting or drawing:
+            while waiting and len(drawing) < _THREADS:
+                rng, count = waiting.popleft()
+                drawing.append(
+                    _POOL.submit(sample_irradiance, model, rng, size=count, out=np.empty(count))
+                )
+            vals = transform(drawing.popleft().result())
             total += float(np.sum(vals))
             np.multiply(vals, vals, out=vals)
             total_sq += float(np.sum(vals))
+            del vals  # freed before the next stream's buffer is allocated
     except BaseException:
         # no stream may run on, or fail unread, after the call has returned
-        for fut in futures:
+        for fut in drawing:
             fut.cancel()
-        concurrent.futures.wait(futures)
+        concurrent.futures.wait(drawing)
         raise
     n = cfg.n_samples
     mean = total / n

@@ -445,6 +445,39 @@ class TestSampling:
         assert out is None or got is out
         assert rng.random() == after
 
+    @pytest.mark.parametrize("key", ["moderate_gg", "moderate_pe"])
+    def test_scalar_draws_match_one_draw_each(self, models, key):
+        m = models[key]
+        rng = np.random.Generator(np.random.Philox(12))
+        a, b = m.alpha, m.beta
+        want = []
+        for _ in range(5):
+            x = rng.gamma(a, 1.0 / a) * rng.gamma(b, 1.0 / b)
+            if m.pointing is not None:
+                p = m.pointing
+                x = x * (p.a0 * rng.uniform() ** (1.0 / p.xi2))
+            want.append(x)
+        after = rng.random()
+        rng = np.random.Generator(np.random.Philox(12))
+        got = [sample_irradiance(m, rng) for _ in range(5)]
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert rng.random() == after
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((2, 1000))[:, ::2],
+            np.empty((3, 5), order="F"),
+            np.empty(1000, dtype=np.float32),
+        ],
+        ids=["strided", "fortran", "float32"],
+    )
+    def test_out_must_be_contiguous_float64(self, models, out):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            sample_irradiance(models["moderate_pe"], rng, size=out.shape, out=out)
+
 
 class TestExpectationHelpers:
     @pytest.mark.parametrize("key", ["weak_gg", "weak_pe", "strong_pe"])

@@ -1,7 +1,7 @@
 import math
-import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,10 +144,7 @@ class TestConcurrentStreams:
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_concurrent_callers_share_the_capped_pool(self, models, policy):
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:
-            cpus = os.cpu_count() or 1
+        cpus = mc._cpus()
         m = models["weak_pe"]
         snr = SnrSpec.from_db(10.0)
         cfg = McConfig(n_samples=64_000, seed=5, workers=64)
@@ -171,6 +168,27 @@ class TestConcurrentStreams:
         assert not any(t.is_alive() for t in callers)
         assert got == [want] * 4
         assert threading.active_count() - before <= cpus
+
+
+    def test_streams_held_at_once_are_capped_by_the_pool(self, models, policy):
+        # each stream in flight holds its buffer and one block scratch
+        m = models["strong_pe"]
+        snr = SnrSpec.from_db(10.0)
+        n = 1_280_000
+        stream_bytes = 8 * n // 64
+        bound = 2 * stream_bytes * min(mc._cpus(), 64) + (1 << 20)
+
+        def peak(workers):
+            cfg = McConfig(n_samples=n, seed=3, workers=workers)
+            tracemalloc.start()
+            try:
+                estimate_ase_mc(snr, policy, m, cfg, cutoff=0.5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1) > 8 * n  # the one stream's buffer is seen
+        assert peak(64) <= bound
 
 
 class TestContinuousAseMc:
