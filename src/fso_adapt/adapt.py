@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -166,29 +166,38 @@ def optimal_power(i: float, cutoff: float, policy: BerPolicy) -> float:
 # continuous-rate solution
 
 
-def _bracket_and_solve(fun, lo: float, hi: float, max_grow: int = 200):
+def _bracket_and_solve(fun, lo: float, hi: float):
     """Root of a decreasing function, searched from the guess bracket (lo, hi).
 
     An end that fails its sign moves by a factor 2 and the other end
     follows it, so brentq never gets a bracket wider than the guess or a
-    factor 2.  Each trial point is evaluated once.  Returns the root, the
-    residual there and the number of distinct evaluations.
+    factor 2; the search gives up after 200 moves.  Each trial point is
+    evaluated once.  Returns the root, the residual there and the number
+    of distinct evaluations.
     """
     fun = functools.cache(fun)
     grow = 0
     while fun(hi) > 0:
         lo, hi = hi, 2.0 * hi
         grow += 1
-        if grow > max_grow:
+        if grow > 200:
             raise SolverBracketError("no upper bracket found for the cutoff")
     while fun(lo) < 0:
         lo, hi = 0.5 * lo, lo
         grow += 1
-        if grow > max_grow:
+        if grow > 200:
             raise SolverBracketError("no lower bracket found for the cutoff")
     root = brentq(fun, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
     # brentq returns a point it has evaluated, so the residual is cached
     return root, fun(root), fun.cache_info().currsize
+
+
+def _cutoff_solution(fun, lo: float, hi: float) -> AdaptiveSolution:
+    """Cutoff at the root of a power constraint fun(x), x = 1/cutoff; ASE left NaN."""
+    x, res, evals = _bracket_and_solve(fun, lo, hi)
+    return AdaptiveSolution(
+        cutoff=1.0 / x, ase_bits=math.nan, constraint_residual=-res, iterations=evals
+    )
 
 
 def solve_cutoff_continuous(
@@ -204,14 +213,8 @@ def solve_cutoff_continuous(
     """
     t = policy.k_margin * snr.snr_linear
     hi = t + _mean_inv_irradiance(m)
-    x, res, evals = _bracket_and_solve(
+    return _cutoff_solution(
         lambda x: t - mean_excess_inv(1.0 / x, m), t, hi if math.isfinite(hi) else 2.0 * t
-    )
-    return AdaptiveSolution(
-        cutoff=1.0 / x,
-        ase_bits=float("nan"),
-        constraint_residual=-res,
-        iterations=evals,
     )
 
 
@@ -257,13 +260,7 @@ def ase_limit(
 ) -> AdaptiveSolution:
     """Maximum average spectral efficiency of the continuous-rate policy."""
     sol = solve_cutoff_continuous(snr, policy, m)
-    bits = max(ase_series(sol.cutoff, m, cfg), 0.0)
-    return AdaptiveSolution(
-        cutoff=sol.cutoff,
-        ase_bits=bits,
-        constraint_residual=sol.constraint_residual,
-        iterations=sol.iterations,
-    )
+    return replace(sol, ase_bits=max(ase_series(sol.cutoff, m, cfg), 0.0))
 
 
 def high_snr_ase(snr: SnrSpec, policy: BerPolicy, m: ChannelModel) -> float:
@@ -344,14 +341,8 @@ def solve_cutoff_discrete(
     # each active rung spends (M - 1)/I < 1/cutoff, so the constraint is
     # negative at x = 1/cutoff = t, and rises with x from there
     t = policy.k_margin * snr.snr_linear
-    x, res, evals = _bracket_and_solve(
+    return _cutoff_solution(
         lambda x: -_discrete_constraint(1.0 / x, snr, policy, m, cset), t, 2.0 * t
-    )
-    return AdaptiveSolution(
-        cutoff=1.0 / x,
-        ase_bits=float("nan"),
-        constraint_residual=-res,
-        iterations=evals,
     )
 
 
@@ -370,12 +361,7 @@ def discrete_ase(
     bits = 0.0
     for i in range(1, len(sizes)):
         bits += math.log2(sizes[i]) * (cdf_vals[i] - cdf_vals[i - 1])
-    return AdaptiveSolution(
-        cutoff=sol.cutoff,
-        ase_bits=bits,
-        constraint_residual=sol.constraint_residual,
-        iterations=sol.iterations,
-    )
+    return replace(sol, ase_bits=bits)
 
 
 # ---------------------------------------------------------------------------

@@ -243,16 +243,23 @@ def _gg_density(t: TurbulenceParams):
     return pdf
 
 
+# scipy's kve(nu, z) is NaN from z = 2^30 on; from z = 1e9 on, the density
+# and every tail of it are nil in double precision
+_Z_NIL = 1e9
+
+
 def _gg_ln_pdf(x: np.ndarray, t: TurbulenceParams) -> np.ndarray:
-    """ln f_a(x) over an array of x > 0."""
+    """ln f_a(x) over an array of x > 0; -inf from z = _Z_NIL on."""
     ln_c, e, nu, four_ab = _gg_constants(t)
     z = np.sqrt(four_ab * x)
-    return ln_c + e * np.log(x) - z + np.log(special.kve(nu, z))
+    with np.errstate(invalid="ignore"):
+        ln_f = ln_c + e * np.log(x) - z + np.log(special.kve(nu, z))
+    return np.where(z < _Z_NIL, ln_f, -np.inf)
 
 
 def gg_pdf(ia: float, t: TurbulenceParams) -> float:
     """Gamma-gamma density of the turbulence fluctuation I_a."""
-    if ia < 0:
+    if not ia >= 0:
         raise ValueError(f"ia must be >= 0, got {ia}")
     return _gg_density(t)(ia)
 
@@ -264,22 +271,19 @@ def _misalignment(m: ChannelModel) -> tuple[float, float]:
     return m.pointing.a0, m.pointing.xi2
 
 
-def _neg_moment_coeff(alpha: float, beta: float, xi2: float) -> float:
-    """Analytically continued E[I_a^(-xi2)] = (ab)^xi2 G(a-xi2) G(b-xi2) / (G(a) G(b))."""
-    for arg in (alpha - xi2, beta - xi2):
-        if arg <= 0 and arg == math.floor(arg):
-            raise SingularOrderError(
-                f"xi2 = {xi2} puts a gamma factor on a pole; perturb xi2"
-            )
-    sign = special.gammasgn(alpha - xi2) * special.gammasgn(beta - xi2)
+def _gg_mellin(s: float, t: TurbulenceParams) -> float:
+    """E[I_a^s] = G(a+s) G(b+s) / (G(a) G(b) (ab)^s), analytically continued in s.
+
+    The composite transform E[I^s] is this times A0^s xi2/(xi2+s).
+    """
+    a, b = t.alpha, t.beta
+    if any(v <= 0 and v == math.floor(v) for v in (a + s, b + s)):
+        raise SingularOrderError(f"E[I_a^{s}] has a gamma factor on a pole; perturb xi2")
     ln_mag = (
-        xi2 * math.log(alpha * beta)
-        + special.gammaln(alpha - xi2)
-        + special.gammaln(beta - xi2)
-        - ln_gamma(alpha)
-        - ln_gamma(beta)
+        -s * math.log(a * b) + special.gammaln(a + s) + special.gammaln(b + s)
+        - ln_gamma(a) - ln_gamma(b)
     )
-    return sign * math.exp(ln_mag)
+    return float(special.gammasgn(a + s) * special.gammasgn(b + s) * math.exp(ln_mag))
 
 
 def _inv_moment(m: ChannelModel) -> float:
@@ -287,7 +291,8 @@ def _inv_moment(m: ChannelModel) -> float:
 
     The expectation diverges once min(a, b, xi2) <= 1; below 1 this is
     the value of its Mellin transform at s = -1, which the residue series
-    at that shift completes to the tail E[1/I; I >= c].
+    at that shift completes to the tail E[1/I; I >= c].  This is
+    _gg_mellin(-1) / (A0 (1 - 1/xi2)), kept rational for the ladder's speed.
     """
     a, b = m.alpha, m.beta
     a0, xi2 = _misalignment(m)
@@ -335,7 +340,7 @@ def _series_table(m: ChannelModel, max_terms: int):
             coeff = coeff * xi2 / (xi2 - p)
     near = (np.abs(p - xi2) < SeriesConfig.singularity_eps).any(axis=1)
     rows = int(np.argmax(near)) if near.any() else max_terms
-    e_neg = 0.0 if m.pointing is None else _neg_moment_coeff(m.alpha, m.beta, xi2)
+    e_neg = 0.0 if m.pointing is None else _gg_mellin(-xi2, m.turbulence)
     table = [v[:rows] for v in (p, coeff, ln_g)]
     for v in table:
         v.setflags(write=False)  # shared by every caller through the cache
@@ -437,8 +442,10 @@ def _tail_rule(lo: np.ndarray, m: ChannelModel, j: int, e=None, layered=False):
     e^(-2 sqrt(ab t)) into e^(-2 sqrt(ab lo)) e^(-w), the rule's weight.
     Where the layer (lo/t)^e is narrower than that, e/lo > sqrt(ab/lo),
     the layered term is integrated in v = e ln(t/lo) instead, where it is
-    the weight e^(-v).
+    the weight e^(-v).  A tail from beyond z = _Z_NIL is 0: lo is capped
+    there, which also keeps an infinite lo out of the arithmetic.
     """
+    lo = np.minimum(lo, _Z_NIL**2 / (4.0 * m.alpha * m.beta))
     w, weights = _laguerre(_NODES_ABOVE_A0 if lo.min() >= 1.0 else _NODES_BELOW_A0)
     sab = math.sqrt(m.alpha * m.beta)
     root = np.sqrt(lo)[:, None] + w / (2.0 * sab)
@@ -470,20 +477,12 @@ def _tail_rule(lo: np.ndarray, m: ChannelModel, j: int, e=None, layered=False):
     return out
 
 
-def _survival_rule(c: np.ndarray, m: ChannelModel) -> np.ndarray:
-    """1 - F(c) by the tail rule."""
+def _rule_tail(c: np.ndarray, m: ChannelModel, j: int) -> np.ndarray:
+    """E[I^-j; I >= c] by the tail rule: 1 - F(c) for j = 0, E[1/I; I >= c] for j = 1."""
     a0, xi2 = _misalignment(m)
     if m.pointing is None:
-        return _tail_rule(c, m, 0)
-    return xi2 * _tail_rule(c / a0, m, 0, xi2)
-
-
-def _inv_above_rule(c: np.ndarray, m: ChannelModel) -> np.ndarray:
-    """E[1/I; I >= c] by the tail rule."""
-    a0, xi2 = _misalignment(m)
-    if m.pointing is None:
-        return _tail_rule(c, m, 1)
-    return xi2 / a0 * _tail_rule(c / a0, m, 1, xi2 - 1.0)
+        return _tail_rule(c, m, j)
+    return xi2 / a0**j * _tail_rule(c / a0, m, j, xi2 - j)
 
 
 def _cutoffs(x, name: str):
@@ -555,7 +554,7 @@ def _cdf_and_survival(c: np.ndarray, m: ChannelModel, cfg: SeriesConfig):
         surv[below] = np.where(ok, 1.0 - val, np.nan)
     todo = np.isnan(surv)
     if todo.any():
-        surv[todo] = _survival_rule(c[todo], m)
+        surv[todo] = _rule_tail(c[todo], m, 0)
     return 1.0 - surv, surv
 
 
@@ -563,6 +562,8 @@ def composite_cdf(i, m: ChannelModel, cfg: SeriesConfig | None = None):
     """Distribution function of the composite irradiance I, at a scalar or an array of points."""
     cfg = cfg or SeriesConfig()
     arr = np.asarray(i, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError(f"i must not be NaN, got {i}")
     x = arr.reshape(-1)
     out = np.zeros(x.shape)
     pos = x > 0.0
@@ -573,15 +574,10 @@ def composite_cdf(i, m: ChannelModel, cfg: SeriesConfig | None = None):
 
 def moment(n: float, m: ChannelModel) -> float:
     """Closed-form n-th moment of the composite irradiance."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    a, b = m.alpha, m.beta
+    if not 0 <= n < math.inf:
+        raise ValueError(f"n must be finite and >= 0, got {n}")
     a0, xi2 = _misalignment(m)
-    ln_turb = (
-        ln_gamma(a + n) + ln_gamma(b + n) - ln_gamma(a) - ln_gamma(b)
-        - n * math.log(a * b)
-    )
-    return math.exp(ln_turb) * a0**n / (1.0 + n / xi2)
+    return _gg_mellin(n, m.turbulence) * a0**n / (1.0 + n / xi2)
 
 
 # samples per block of the second gamma factor and of the pointing factor
@@ -657,7 +653,7 @@ def mean_inv_above(threshold, m: ChannelModel):
         out[below] = np.where(ok, inv, np.nan)
     todo = np.isnan(out)
     if todo.any():
-        out[todo] = _inv_above_rule(c[todo], m)
+        out[todo] = _rule_tail(c[todo], m, 1)
     return _shaped(out, shape)
 
 
@@ -671,7 +667,7 @@ def mean_excess_inv(cutoff, m: ChannelModel):
     try:
         surv = _cdf_and_survival(c, m, _SERIES)[1]
     except SingularOrderError:
-        surv = _survival_rule(c, m)
+        surv = _rule_tail(c, m, 0)
     return _shaped(surv / c - mean_inv_above(c, m), shape)
 
 
@@ -694,10 +690,12 @@ def mean_log_excess(cutoff: float, m: ChannelModel) -> float:
 
 def mean_exp_neg(s: float, m: ChannelModel) -> float:
     """E[exp(-s I)], the Laplace transform of the irradiance law."""
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"s must be >= 0, got {s}")
     if s == 0.0:
         return 1.0
+    if s == math.inf:
+        return 0.0  # P(I = 0)
     pdf = _gg_density(m.turbulence)
     a0, xi2 = _misalignment(m)
     # over W = I_p/A0 ~ Beta(xi2, 1), E[exp(x W)] = 1F1(xi2; xi2+1; x); its

@@ -154,7 +154,8 @@ def _reduce_mean(model: ChannelModel, cfg: McConfig, transform):
 
 def _region(bounds, i):
     """Ladder region of each sample: the number of sorted bounds at or below it."""
-    idx = np.zeros(i.shape, dtype=np.intp)
+    # one byte a sample for up to 255 rungs, not eight
+    idx = np.zeros(i.shape, dtype=np.min_scalar_type(len(bounds)))
     for b in bounds:
         idx += i >= b
     return idx

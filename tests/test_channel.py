@@ -12,6 +12,7 @@ from fso_adapt.channel import (
     PointingParams,
     TurbulenceParams,
     Variant,
+    _gg_mellin,
     beam_waist_at_rx,
     composite_cdf,
     composite_pdf,
@@ -543,7 +544,49 @@ class TestExpectationHelpers:
             mean_exp_neg(-1.0, m)
 
 
+# calls on a non-finite or huge argument, with the limit each must
+# return, or the ValueError naming the argument
+HUGE_CUTOFFS = (2e16, 1e300, math.inf)
+NON_FINITE_CALLS = [
+    pytest.param(lambda m: composite_cdf(math.nan, m), "i must", id="composite_cdf-nan"),
+    pytest.param(lambda m: gg_pdf(math.nan, m.turbulence), "ia must", id="gg_pdf-nan"),
+    pytest.param(lambda m: mean_exp_neg(math.nan, m), "s must", id="mean_exp_neg-nan"),
+    pytest.param(lambda m: mean_exp_neg(math.inf, m), 0.0, id="mean_exp_neg-inf"),
+    pytest.param(lambda m: moment(math.nan, m), "n must", id="moment-nan"),
+    pytest.param(lambda m: moment(math.inf, m), "n must", id="moment-inf"),
+    *[
+        pytest.param(lambda m, f=f, c=c: f(c, m), limit, id=f"{f.__name__}-{c:g}")
+        for f, limit in (
+            (composite_cdf, 1.0),
+            (composite_pdf, 0.0),
+            (mean_inv_above, 0.0),
+            (mean_excess_inv, 0.0),
+        )
+        for c in HUGE_CUTOFFS
+    ],
+]
+
+
+@pytest.mark.parametrize("key", ["weak_gg", "strong_pe"])
+@pytest.mark.parametrize("call, expect", NON_FINITE_CALLS)
+def test_non_finite_and_huge_arguments(models, key, call, expect):
+    """A NaN argument raises ValueError; a huge or infinite one gives the limit."""
+    m = models[key]
+    if isinstance(expect, str):
+        with pytest.raises(ValueError, match=expect):
+            call(m)
+    else:
+        assert call(m) == expect
+
+
 class TestSingularityGuards:
+    @pytest.mark.parametrize("s", [-2.0, -3.0, -4.5])
+    def test_mellin_on_pole(self, s):
+        # a + s = 0 or -1, b + s = -2
+        t = TurbulenceParams(alpha=2.0, beta=2.5, rytov_var=1.0)
+        with pytest.raises(SingularOrderError):
+            _gg_mellin(s, t)
+
     def test_integer_xi2_on_pole(self, models):
         t = models["weak_gg"].turbulence
         # xi2 exactly on alpha puts a gamma factor on a pole only when the

@@ -351,6 +351,23 @@ class TestPowerAudit:
         )
         assert rep.passed
 
+    def test_discrete_region_index_takes_one_byte_a_draw(self, models, policy):
+        # at its peak the discrete audit holds the stream buffer and the
+        # per-draw rung power, 8 bytes a draw each, and the region index
+        m = models["strong_pe"]
+        snr = SnrSpec.from_db(15.0)
+        sol = solve_cutoff_discrete(snr, policy, m)
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            audit_power_constraint(
+                snr, policy, m, sol, McConfig(n_samples=n, seed=24), scheme="discrete"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 + 8 + 1) * n + (1 << 20)
+
     def test_wrong_cutoff_fails(self, models, policy):
         # sensitivity check: a mis-solved cutoff must be flagged
         from dataclasses import replace

@@ -6,9 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import kv
 
-from fso_adapt.adapt import LN2, ase_series
+from fso_adapt.adapt import (
+    LN2,
+    BerPolicy,
+    SnrSpec,
+    SolverBracketError,
+    ase_limit,
+    ase_series,
+    discrete_ase,
+)
 from fso_adapt.channel import (
     TurbulenceParams,
+    _gg_mellin,
+    _inv_moment,
+    _misalignment,
     _residue_series,
     _series_accepts,
     gg_params,
@@ -18,6 +29,7 @@ from fso_adapt.channel import (
     mean_exp_neg,
     mean_inv_above,
     mean_log_excess,
+    moment,
 )
 from fso_adapt.specfun import SeriesConfig
 
@@ -112,3 +124,60 @@ def test_tail_functionals_match_tight_quadrature(sigma_r2, jitter_m, pointing, l
     # F is a double near 1, so its complement is good to 2^-53 at best
     surv = tail_tight(c, m)
     assert abs((1.0 - composite_cdf(c, m)) - surv) <= 1e-8 * surv + 2.0**-53, (m, c, surv)
+
+
+# link strength log-uniform over the box, jitter, and pointing on or off
+model_box = (
+    st.floats(math.log(0.05), math.log(15.0)).map(math.exp),
+    st.floats(1e-3, 0.05),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(*model_box)
+def test_moments_are_one_mellin_transform(sigma_r2, jitter_m, pointing):
+    """E[I^n] and the rational E[1/I] are the gamma-gamma transform at s = n and -1."""
+    m = reference_model(sigma_r2, pointing, jitter_m)
+    a, b = m.alpha, m.beta
+    a0, xi2 = _misalignment(m)
+    for n in range(4):
+        ln_turb = (
+            math.lgamma(a + n) + math.lgamma(b + n) - math.lgamma(a) - math.lgamma(b)
+            - n * math.log(a * b)
+        )
+        expect = math.exp(ln_turb) * a0**n / (1.0 + n / xi2)
+        assert math.isclose(moment(n, m), expect, rel_tol=1e-13), (m, n)
+    # away from the poles at a, b or xi2 = 1
+    if min(abs(a - 1.0), abs(b - 1.0), abs(xi2 - 1.0)) > 1e-3:
+        expect = _gg_mellin(-1.0, m.turbulence) / (a0 * (1.0 - 1.0 / xi2))
+        assert math.isclose(_inv_moment(m), expect, rel_tol=1e-13), m
+
+
+# SNR grid of the box-wide limits, dB
+SNR_GRID_DB = range(-10, 61, 5)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(*model_box)
+def test_ase_limits_ordered_and_rising_in_snr(sigma_r2, jitter_m, pointing):
+    """Over the box, 0 <= discrete ASE <= continuous ASE, both finite and rising in SNR.
+
+    The discrete ladder may saturate, which raises SolverBracketError.
+    """
+    m = reference_model(sigma_r2, pointing, jitter_m)
+    policy = BerPolicy(1e-3)
+    cont, disc = [], []
+    for db in SNR_GRID_DB:
+        snr = SnrSpec.from_db(float(db))
+        c = ase_limit(snr, policy, m).ase_bits
+        assert math.isfinite(c), (m, db, c)
+        cont.append(c)
+        try:
+            d = discrete_ase(snr, policy, m).ase_bits
+        except SolverBracketError:
+            continue
+        assert math.isfinite(d) and 0.0 <= d <= c, (m, db, c, d)
+        disc.append(d)
+    for vals in (cont, disc):
+        assert all(y >= x for x, y in zip(vals, vals[1:])), (m, vals)
