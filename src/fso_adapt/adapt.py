@@ -23,12 +23,14 @@ from .channel import (
     mean_excess_inv,
     mean_exp_neg,
     mean_inv_above,
-    mean_log_excess,
     moment,
+    _SERIES_TOL,
     _inv_moment,
     _misalignment,
     _residue_series,
     _series_accepts,
+    _series_or_rule,
+    _tail_rule,
 )
 # ln_gamma is unused here; the benchmark's trace tests expect this binding
 from .specfun import SeriesConfig, digamma, ln_gamma
@@ -85,8 +87,8 @@ class SnrSpec:
     snr_linear: float
 
     def __post_init__(self):
-        if not self.snr_linear > 0:
-            raise ValueError(f"snr_linear must be > 0, got {self.snr_linear}")
+        if not (math.isfinite(self.snr_db) and 0 < self.snr_linear < math.inf):
+            raise ValueError(f"SNR must be finite and > 0, got {self.snr_db} dB")
         expect = 10.0 ** (self.snr_db / 10.0)
         if abs(self.snr_linear - expect) > 1e-12 * expect:
             raise ValueError("snr_db and snr_linear are inconsistent")
@@ -236,20 +238,26 @@ def ase_series(cutoff: float, m: ChannelModel, cfg: SeriesConfig | None = None) 
     """Closed-form spectral-efficiency ceiling for a solved cutoff, bits/s/Hz.
 
     E[(ln(I/cutoff))^+] is the base term E[ln I] - ln(cutoff) plus the
-    order-2 residue series of the composite law, whose misalignment pole
-    keeps the closed form in agreement with direct quadrature.
+    order-2 residue series of the composite law, misalignment pole
+    included.  Where the series is not trusted, the tail rule integrates
+    its mean over the misalignment factor, ln(t/lo) - (1 - (lo/t)^xi2)/xi2
+    with lo = cutoff/A0, over the gamma-gamma density.
     """
     cfg = cfg or SeriesConfig()
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    # above A0 the misalignment pole outgrows the value; there, and where
-    # the series fails its guard, evaluate the defining expectation directly
-    if cutoff <= _misalignment(m)[0]:
-        series, tail, peak = _residue_series(cutoff, m, cfg, 2)
-        nats = _mean_log_irradiance(m) - math.log(cutoff) + series
-        if _series_accepts(nats, tail, peak, 1e-6):
-            return nats / LN2
-    return mean_log_excess(cutoff, m) / LN2
+    a0, xi2 = _misalignment(m)
+
+    def series(c):
+        val, tail, peak = _residue_series(c, m, cfg, 2)
+        nats = _mean_log_irradiance(m) - np.log(c) + val
+        return nats, _series_accepts(nats, tail, peak, _SERIES_TOL)
+
+    def rule(c):
+        nats = _tail_rule(c / a0, m, 0, 0.0)
+        return nats if m.pointing is None else nats - _tail_rule(c / a0, m, 0, xi2)
+
+    return float(_series_or_rule(np.array([cutoff]), m, series, rule)[0]) / LN2
 
 
 def ase_limit(

@@ -3,8 +3,8 @@
 Maps physical link settings (geometry, turbulence strength, jitter) to
 distribution parameters, and exposes the fading law of the composite
 irradiance I = I_a * I_p three ways: a closed-form residue series below
-A0 with a Gauss-Laguerre tail rule beyond it, quadrature (the log-excess
-and Laplace functionals), and Monte Carlo sampling.  I_a is gamma-gamma
+A0 with a Gauss-Laguerre tail rule beyond it, quadrature (the Laplace
+functional, and the log-excess as a reference), and Monte Carlo sampling.  I_a is gamma-gamma
 distributed (product of two unit-mean gamma variates) and I_p follows a
 power-law misalignment model on (0, A0].
 """
@@ -311,7 +311,8 @@ def _series_table(m: ChannelModel, max_terms: int):
     p, sign(g_k)/(1 - p/xi2) and ln|g_k| as (K, 2) arrays, the
     misalignment pole's coefficient E[I_a^-xi2] (0 without pointing), and
     whether all max_terms rows are there.  The rows stop short of the
-    first k whose pole lies within singularity_eps of xi2.  The factor
+    first k whose pole lies within singularity_eps of xi2; with no row
+    left, or a coefficient on a pole, it raises SingularOrderError.  The factor
     1/(1 - p/xi2) is taken as xi2/(xi2 - p), whose difference is exact
     when p is near xi2, so a near-double pole costs no accuracy beyond the
     cancellation that the guard's peak sees.
@@ -340,6 +341,8 @@ def _series_table(m: ChannelModel, max_terms: int):
             coeff = coeff * xi2 / (xi2 - p)
     near = (np.abs(p - xi2) < SeriesConfig.singularity_eps).any(axis=1)
     rows = int(np.argmax(near)) if near.any() else max_terms
+    if rows == 0:
+        raise SingularOrderError("the first pole of the series lies on xi2; perturb xi2")
     e_neg = 0.0 if m.pointing is None else _gg_mellin(-xi2, m.turbulence)
     table = [v[:rows] for v in (p, coeff, ln_g)]
     for v in table:
@@ -364,8 +367,8 @@ def _residue_series(c, m: ChannelModel, cfg: SeriesConfig, order: int, shift: fl
     it, or at max_terms.  Returns (value, tail, peak) arrays shaped as c:
     the value, the magnitude of the last term kept (0 once the sum has
     converged) and the largest term, for _series_accepts.  A value that
-    is not finite comes back as NaN.  A sum that reaches a pole within
-    singularity_eps of xi2 raises SingularOrderError.
+    is not finite, or whose sum runs into the row the table was cut at,
+    comes back as NaN.
     """
     p, coeff, ln_g, e_neg, complete = _series_table(m, cfg.max_terms)
     a0, xi2 = _misalignment(m)
@@ -379,17 +382,20 @@ def _residue_series(c, m: ChannelModel, cfg: SeriesConfig, order: int, shift: fl
         sums = terms.sum(axis=-1).cumsum(axis=-1)
         done = (k > 0) & (mag < cfg.convergence_tol * np.abs(sums))
         stopped = done.any(axis=-1)
-        if not (complete or stopped.all()):
-            raise SingularOrderError(
-                f"a pole k+xb lies within {cfg.singularity_eps} of xi2 = {xi2}"
-            )
         last = np.where(stopped, done.argmax(axis=-1), len(p) - 1)
         val = sums[idx, last]
         tail = np.where(stopped, 0.0, mag[:, -1])
         peak = np.maximum.accumulate(mag, axis=-1)[idx, last]
         # without pointing xi2 = inf and the misalignment pole is absent
         if m.pointing is not None:
-            val = val + e_neg * np.exp(xi2 * ln_u) * xi2 / (xi2 + shift) ** order
+            pole = e_neg * np.exp(xi2 * ln_u) * xi2 / (xi2 + shift) ** order
+            val = val + pole
+            if not complete:
+                # near a double pole, this one's partner is the row the
+                # table was cut at: a sum that reaches that row has no
+                # value, and any other is off by about the pole's size
+                val[~stopped] = np.nan
+                tail = np.maximum(tail, np.abs(pole))
     val = np.where(np.isfinite(val), val, np.nan)
     return val.reshape(c.shape), tail.reshape(c.shape), peak.reshape(c.shape)
 
@@ -400,8 +406,8 @@ def _series_accepts(val, tail, peak, tol: float):
     With large shape parameters, or far from the origin, the expansion can
     outgrow the term budget or its alternating terms can swamp the result:
     each log-domain term carries a relative rounding of about 1e-14, so a
-    sum whose terms peak at P is off by up to P * 1e-14.  The caller then
-    integrates directly.  Written so that a NaN from a singular
+    sum whose terms peak at P is off by up to P * 1e-14.  The tail rule
+    then takes the cutoff.  Written so that a NaN from a singular
     coefficient fails the test.  Elementwise over arrays.
     """
     scale = np.maximum(np.abs(val), 1e-12)
@@ -485,6 +491,26 @@ def _rule_tail(c: np.ndarray, m: ChannelModel, j: int) -> np.ndarray:
     return xi2 / a0**j * _tail_rule(c / a0, m, j, xi2 - j)
 
 
+def _series_or_rule(c: np.ndarray, m: ChannelModel, series, rule) -> np.ndarray:
+    """A functional at cutoffs c > 0: the residue series where it is trusted, else the tail rule.
+
+    series(cb) returns (value, accepted) at the cutoffs cb <= A0; rule
+    takes the rest, and all of them when the series is singular.
+    """
+    todo = c > _misalignment(m)[0]
+    out = np.empty(c.shape)
+    below = ~todo
+    if below.any():
+        try:
+            out[below], ok = series(c[below])
+            todo[below] = ~ok
+        except SingularOrderError:
+            todo[:] = True
+    if todo.any():
+        out[todo] = rule(c[todo])
+    return out
+
+
 def _cutoffs(x, name: str):
     """x as a flat float array of cutoffs, with its shape; all must be > 0."""
     arr = np.asarray(x, dtype=float)
@@ -501,10 +527,10 @@ def _shaped(out: np.ndarray, shape):
 # ---------------------------------------------------------------------------
 # distribution of the composite irradiance
 
-# Guard tolerance of the series behind the distribution function and the
-# power functionals.  The cutoff solves resolve x = 1/c to 1e-14, so the
-# series is taken only where its rounding stays near that (peak/value up
-# to 100); the smooth tail rule takes the rest.
+# Guard tolerance of the series behind the distribution function, the
+# power functionals and the ASE.  The cutoff solves resolve x = 1/c to
+# 1e-14, so the series is taken only where its rounding stays near that
+# (peak/value up to 100); the smooth tail rule takes the rest.
 _SERIES_TOL = 1e-12
 # the power functionals have no series setting of their own
 _SERIES = SeriesConfig()
@@ -524,38 +550,28 @@ def composite_pdf(i, m: ChannelModel, cfg: SeriesConfig | None = None):
         out[pos] = np.exp(_gg_ln_pdf(x[pos], m.turbulence))
         return _shaped(out, arr.shape)
     a0, xi2 = m.pointing.a0, m.pointing.xi2
-    todo = pos.copy()
-    below = pos & (x <= a0)
-    if below.any():
-        c = x[below]
+
+    def series(c):
         val, tail, peak = _residue_series(c, m, cfg, 0)
-        ok = _series_accepts(val / c, tail / c, peak / c, 1e-7)
-        out[below] = np.where(ok, np.maximum(val / c, 0.0), 0.0)
-        todo[below] = ~ok
-    if todo.any():
-        # beyond the series' comfortable range: the tail rule
-        c = x[todo]
-        out[todo] = xi2 / c * _tail_rule(c / a0, m, 0, xi2, layered=True)
+        return np.maximum(val / c, 0.0), _series_accepts(val / c, tail / c, peak / c, 1e-7)
+
+    rule = lambda c: xi2 / c * _tail_rule(c / a0, m, 0, xi2, layered=True)
+    out[pos] = _series_or_rule(x[pos], m, series, rule)
     return _shaped(out, arr.shape)
 
 
-def _cdf_and_survival(c: np.ndarray, m: ChannelModel, cfg: SeriesConfig):
-    """(F(c), 1 - F(c)) at cutoffs c > 0.
+def _survival(c: np.ndarray, m: ChannelModel, cfg: SeriesConfig) -> np.ndarray:
+    """1 - F(c) at cutoffs c > 0.
 
-    The series runs below A0, where its guard takes it only if both F and
-    1 - F are good to _SERIES_TOL: the ladder and the power constraint use
-    the complement.  The tail rule takes the rest.
+    The series' guard takes it only if both F and 1 - F are good to
+    _SERIES_TOL: the ladder and the power constraint use the complement.
     """
-    surv = np.full(c.shape, np.nan)
-    below = c <= _misalignment(m)[0]
-    if below.any():
-        val, tail, peak = _residue_series(c[below], m, cfg, 1)
-        ok = _series_accepts(np.minimum(val, 1.0 - val), tail, peak, _SERIES_TOL)
-        surv[below] = np.where(ok, 1.0 - val, np.nan)
-    todo = np.isnan(surv)
-    if todo.any():
-        surv[todo] = _rule_tail(c[todo], m, 0)
-    return 1.0 - surv, surv
+
+    def series(c):
+        val, tail, peak = _residue_series(c, m, cfg, 1)
+        return 1.0 - val, _series_accepts(np.minimum(val, 1.0 - val), tail, peak, _SERIES_TOL)
+
+    return _series_or_rule(c, m, series, partial(_rule_tail, m=m, j=0))
 
 
 def composite_cdf(i, m: ChannelModel, cfg: SeriesConfig | None = None):
@@ -567,8 +583,7 @@ def composite_cdf(i, m: ChannelModel, cfg: SeriesConfig | None = None):
     x = arr.reshape(-1)
     out = np.zeros(x.shape)
     pos = x > 0.0
-    if pos.any():
-        out[pos] = np.clip(_cdf_and_survival(x[pos], m, cfg)[0], 0.0, 1.0)
+    out[pos] = np.clip(1.0 - _survival(x[pos], m, cfg), 0.0, 1.0)
     return _shaped(out, arr.shape)
 
 
@@ -631,30 +646,22 @@ def mean_inv_above(threshold, m: ChannelModel):
 
     Below A0 it is E[1/I] - E[1/I; I < c]: the residue series at shift
     -1 taken from the inverse moment, continued where it diverges.  The
-    tail rule takes the thresholds above A0, those the guard turns down,
-    and all of them when a, b or xi2 lies within singularity_eps of 1,
-    where both terms have a pole.
+    series is singular when a, b or xi2 lies within singularity_eps of
+    1, where both terms have a pole.
     """
     c, shape = _cutoffs(threshold, "threshold")
-    out = np.full(c.shape, np.nan)
-    a0, xi2 = _misalignment(m)
-    below = c <= a0
     eps = SeriesConfig.singularity_eps
-    if below.any() and min(abs(m.alpha - 1.0), abs(m.beta - 1.0), abs(xi2 - 1.0)) >= eps:
+
+    def series(c):
+        if min(abs(m.alpha - 1.0), abs(m.beta - 1.0), abs(_misalignment(m)[1] - 1.0)) < eps:
+            raise SingularOrderError("E[1/I] has a pole at a, b or xi2 = 1")
         inv_mean = _inv_moment(m)
-        cb = c[below]
-        try:
-            val, tail, peak = _residue_series(cb, m, _SERIES, 1, shift=-1.0)
-        except SingularOrderError:
-            val = tail = peak = np.full(cb.shape, np.nan)
-        inv = inv_mean - val / cb
-        peak = np.maximum(peak / cb, abs(inv_mean))
-        ok = _series_accepts(inv, tail / cb, peak, _SERIES_TOL)
-        out[below] = np.where(ok, inv, np.nan)
-    todo = np.isnan(out)
-    if todo.any():
-        out[todo] = _rule_tail(c[todo], m, 1)
-    return _shaped(out, shape)
+        val, tail, peak = _residue_series(c, m, _SERIES, 1, shift=-1.0)
+        inv = inv_mean - val / c
+        peak = np.maximum(peak / c, abs(inv_mean))
+        return inv, _series_accepts(inv, tail / c, peak, _SERIES_TOL)
+
+    return _shaped(_series_or_rule(c, m, series, partial(_rule_tail, m=m, j=1)), shape)
 
 
 def mean_excess_inv(cutoff, m: ChannelModel):
@@ -664,11 +671,7 @@ def mean_excess_inv(cutoff, m: ChannelModel):
     cutoffs.
     """
     c, shape = _cutoffs(cutoff, "cutoff")
-    try:
-        surv = _cdf_and_survival(c, m, _SERIES)[1]
-    except SingularOrderError:
-        surv = _rule_tail(c, m, 0)
-    return _shaped(surv / c - mean_inv_above(c, m), shape)
+    return _shaped(_survival(c, m, _SERIES) / c - mean_inv_above(c, m), shape)
 
 
 def mean_log_excess(cutoff: float, m: ChannelModel) -> float:

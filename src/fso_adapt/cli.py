@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -44,7 +43,6 @@ from . import (
     solve_cutoff_continuous,
     solve_cutoff_discrete,
 )
-from .specfun import SingularOrderError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,11 +140,14 @@ class RunConfig:
             if key not in _DEFAULTS:
                 raise ConfigError(f"--set: unknown key {key!r}")
             values[key] = _coerce(key, raw)
-        step = values["snr.step_db"]
-        if step <= 0:
-            raise ConfigError("snr.step_db must be > 0")
-        if values["snr.start_db"] > values["snr.stop_db"]:
-            raise ConfigError("snr.start_db must not exceed snr.stop_db")
+        start, stop, step = (values[f"snr.{k}_db"] for k in ("start", "stop", "step"))
+        if not 0 < step < math.inf:
+            raise ConfigError("snr.step_db must be finite and > 0")
+        if not -math.inf < start <= stop < math.inf:
+            raise ConfigError("snr.start_db and snr.stop_db must be finite, start <= stop")
+        # no sweep wants more points; building a larger grid would only run until killed
+        if (stop - start) / step >= 10_000:
+            raise ConfigError("snr.step_db: the SNR grid exceeds 10000 points")
         return cls(raw=values)
 
     def __getitem__(self, key):
@@ -188,22 +189,13 @@ class RunConfig:
         return _checked("constellations", ConstellationSet, sizes)
 
     def mc(self, args) -> McConfig:
-        workers = self["mc.workers"]
-        env = os.environ.get("FSO_ADAPT_WORKERS")
-        if env:
-            workers = _checked("FSO_ADAPT_WORKERS", int, env)
-        if args.workers is not None:
-            workers = args.workers
+        workers = self["mc.workers"] if args.workers is None else args.workers
         n = self["mc.n_samples"] if args.samples is None else args.samples
         seed = self["mc.seed"] if args.seed is None else args.seed
         return _checked("mc", McConfig, n_samples=n, seed=seed, workers=workers)
 
     def snr_grid(self):
-        start, stop, step = (
-            self["snr.start_db"],
-            self["snr.stop_db"],
-            self["snr.step_db"],
-        )
+        start, stop, step = (self[f"snr.{k}_db"] for k in ("start", "stop", "step"))
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(n)]
 
@@ -239,7 +231,7 @@ def _table(path: str | None, header: list[str], rows) -> int:
             warnings.simplefilter("always", IntegrationWarning)
             try:
                 cells = compute()
-            except (SolverBracketError, SingularOrderError) as exc:
+            except SolverBracketError as exc:
                 failures += 1
                 cells = ["nan"] * (len(header) - len(labels))
                 print(f"warning: {name} failed: {exc}", file=sys.stderr)

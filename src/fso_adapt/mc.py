@@ -63,7 +63,6 @@ class QamSimConfig:
     m: int
     inst_snr_db: float
     n_symbols: int
-    mapping: str = "gray"
 
     def __post_init__(self):
         r = round(math.log(self.m, 4)) if self.m >= 4 else -1
@@ -71,8 +70,6 @@ class QamSimConfig:
             raise ValueError(f"m must be a power of 4 (square QAM), got {self.m}")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be positive")
-        if self.mapping != "gray":
-            raise ValueError(f"only gray mapping is supported, got {self.mapping!r}")
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ __all__ = [
 class SingularOrderError(ValueError):
     """Raised when a series parameter sits on (or too close to) a pole.
 
-    Nothing retries: the error reaches the caller, and the command-line
-    tool reports it and exits with code 3.
+    The channel's functionals catch it and take the tail rule; anywhere
+    else it reaches the caller, and the command-line tool exits with 3.
     """
 
 
@@ -43,8 +43,8 @@ class SeriesConfig:
 
     The guard constants are shared by every series and are not settable:
     singularity_eps is the minimum distance of a coefficient denominator
-    from zero (closer raises SingularOrderError), and convergence_tol the
-    early-stop threshold, relative to the partial sum.
+    from zero (the series stops short of a closer one), and convergence_tol
+    the early-stop threshold, relative to the partial sum.
     """
 
     max_terms: int = 20

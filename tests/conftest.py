@@ -24,6 +24,11 @@ from fso_adapt import (
 
 SIGMA_R2 = {"weak": 0.4, "moderate": 1.0, "strong": 2.0}
 
+# jitters (m) that put xi2 - beta at 3 + 4e-16 and at 8 for sigma_R^2 = 1:
+# the misalignment pole and the gamma-gamma pole k + beta nearly meet, and
+# the series table is cut at that row
+NEAR_POLE_JITTER_M = [0.008687406996372325, 0.006304675439721756]
+
 
 def reference_geometry(sigma_r2: float) -> LinkGeometry:
     base = LinkGeometry(

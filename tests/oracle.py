@@ -143,6 +143,24 @@ def inv_above_tight(c: float, m) -> float:
     return _tight_tail(lo, m, weight)
 
 
+def log_excess_tight(c: float, m) -> float:
+    """E[(ln(I/c))^+] in nats.
+
+    Over the misalignment factor, E[(ln(t I_p/c))^+] = ln(t/lo) -
+    (1 - (lo/t)^xi2)/xi2 at I_a = t > lo.
+    """
+    a0, xi2 = _misalignment(m)
+    lo = c / a0
+    if m.pointing is None:
+        return _tight_tail(lo, m, lambda t: math.log(t / lo))
+
+    def weight(t):
+        ln_t = math.log(t / lo)
+        return ln_t + math.expm1(-xi2 * ln_t) / xi2
+
+    return _tight_tail(lo, m, weight)
+
+
 def excess_inv_tight(c: float, m) -> float:
     """E[(1/c - 1/I)^+]."""
     a0, xi2 = _misalignment(m)

@@ -36,7 +36,10 @@ from fso_adapt.channel import (
     sample_irradiance,
 )
 
-from conftest import reference_model
+from fso_adapt.specfun import SeriesConfig
+
+from conftest import NEAR_POLE_JITTER_M, reference_model
+from oracle import log_excess_tight, tail_tight
 
 
 # required-SNR spot references (dB) for a 1e-3 average BER target,
@@ -87,6 +90,15 @@ class TestSnrSpec:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             SnrSpec(snr_db=0.0, snr_linear=0.0)
+
+    @pytest.mark.parametrize("snr_db", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="finite"):
+            SnrSpec.from_db(snr_db)
+
+    def test_infinite_linear_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SnrSpec.from_linear(math.inf)
 
 
 class TestConstellationSet:
@@ -197,6 +209,22 @@ class TestAseSeries:
         series = ase_series(cutoff, m)
         assert math.isfinite(series)
         assert series == pytest.approx(mean_log_excess(cutoff, m) / LN2, abs=1e-6)
+
+
+# (sigma_R^2, jitter in m, SNR in dB, max_terms) where a guard of 1e-6
+# relative let the order-2 series miss E[(ln(I/c))^+] by about 1e-6 bits;
+# TestNearPoleModels::test_ase_limit holds a third such point at 30 dB
+ASE_GUARD_POINTS = [
+    (0.17259521095183297, 0.0034315160401470484, 9.2, 40),
+    (0.34905267590425476, 0.005504951238466357, 4.1, 20),
+]
+
+
+@pytest.mark.parametrize("sigma_r2, jitter_m, snr_db, max_terms", ASE_GUARD_POINTS)
+def test_ase_guard_holds_the_tight_oracle(policy, sigma_r2, jitter_m, snr_db, max_terms):
+    m = reference_model(sigma_r2, jitter_m=jitter_m)
+    sol = ase_limit(SnrSpec.from_db(snr_db), policy, m, SeriesConfig(max_terms=max_terms))
+    assert sol.ase_bits == pytest.approx(log_excess_tight(sol.cutoff, m) / LN2, rel=1e-12)
 
 
 class TestAseLimit:
@@ -386,33 +414,51 @@ class TestDiscreteScheme:
         assert 0.0 <= disc <= ase_limit(snr, policy, m).ase_bits
 
 
+def counting_quad(monkeypatch):
+    """Count the calls of channel.quad from here on."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "quad", counting)
+    return calls
+
+
 class TestRoutes:
-    def test_sweep_quadrature_only_in_log_excess_fallback(self, models, policy, monkeypatch):
-        # the cutoff solves, the ladder and its distribution run on the
-        # series and the tail rule; quadrature is left to the log-excess
-        # fallback of ase_series above A0
-        depth = [0]
-        inside = []
-
-        def log_excess(cutoff, model):
-            depth[0] += 1
-            try:
-                return mean_log_excess(cutoff, model)
-            finally:
-                depth[0] -= 1
-
-        def counting_quad(*args, **kwargs):
-            inside.append(depth[0] > 0)
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(adapt, "mean_log_excess", log_excess)
-        monkeypatch.setattr(channel, "quad", counting_quad)
+    def test_sweep_makes_no_quadrature(self, models, policy, monkeypatch):
+        # the cutoff solves, the ladder, its distribution and the ASE run
+        # on the series and the tail rule
+        calls = counting_quad(monkeypatch)
         for m in models.values():
             for db in range(0, 31, 5):
                 snr = SnrSpec.from_db(db)
                 ase_limit(snr, policy, m)
                 discrete_ase(snr, policy, m)
-        assert all(inside), f"{inside.count(False)} quad calls outside mean_log_excess"
+        assert calls == []
+
+
+class TestNearPoleModels:
+    """xi2 - beta = 3 + 4e-16 and 8: the series table is cut at the pole row."""
+
+    @pytest.fixture(params=NEAR_POLE_JITTER_M)
+    def model(self, request):
+        return reference_model(1.0, jitter_m=request.param)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 30.0])
+    def test_ase_limit(self, policy, model, snr_db):
+        sol = ase_limit(SnrSpec.from_db(snr_db), policy, model)
+        expect = log_excess_tight(sol.cutoff, model) / LN2
+        assert sol.ase_bits == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 30.0])
+    def test_discrete_ase(self, policy, model, snr_db):
+        sol = discrete_ase(SnrSpec.from_db(snr_db), policy, model)
+        sizes = ConstellationSet().sizes
+        cdf = [1.0 - tail_tight(s * sol.cutoff, model) for s in sizes[1:]] + [1.0]
+        bits = sum(math.log2(sizes[i]) * (cdf[i] - cdf[i - 1]) for i in range(1, len(sizes)))
+        assert sol.ase_bits == pytest.approx(bits, rel=1e-12)
 
 
 class TestCutoffBrackets:
@@ -514,18 +560,11 @@ class TestRequiredSnr:
         assert ase_limit(snr, policy, m).ase_bits == pytest.approx(2.0, abs=1e-8)
 
     def test_table2_cells_stay_on_the_series(self, models, policy, monkeypatch):
-        # the cutoff search starts below A0, where ase_series never falls
-        # back to the quadrature of E[(ln(I/c))^+]
-        calls = []
-
-        def counting(cutoff, model):
-            calls.append(cutoff)
-            return mean_log_excess(cutoff, model)
-
-        monkeypatch.setattr(adapt, "mean_log_excess", counting)
-        for key in ("weak_gg", "strong_gg", "weak_pe", "strong_pe"):
+        # the cutoff search and the SNR at its root make no quadrature
+        calls = counting_quad(monkeypatch)
+        for m in models.values():
             for rb in (2.0, 4.0, 6.0, 8.0, 10.0):
-                adaptive_required_snr(rb, policy, models[key])
+                adaptive_required_snr(rb, policy, m)
         assert calls == []
 
     @pytest.mark.parametrize("rb", [40.0, 1e-4, 1000.0])

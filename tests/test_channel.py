@@ -29,8 +29,14 @@ from fso_adapt.channel import (
 )
 from fso_adapt.specfun import SeriesConfig, SingularOrderError
 
-from conftest import reference_geometry, reference_model
-from oracle import composite_cdf_quad, composite_pdf_quad
+from conftest import NEAR_POLE_JITTER_M, reference_geometry, reference_model
+from oracle import (
+    composite_cdf_quad,
+    composite_pdf_quad,
+    excess_inv_tight,
+    inv_above_tight,
+    tail_tight,
+)
 
 
 # frozen reference parameter sets for the three turbulence strengths
@@ -589,17 +595,31 @@ class TestSingularityGuards:
 
     def test_integer_xi2_on_pole(self, models):
         t = models["weak_gg"].turbulence
-        # xi2 exactly on alpha puts a gamma factor on a pole only when the
-        # offset is a nonpositive integer; use a value landing on one
+        # xi2 exactly on alpha puts a gamma factor on a pole: the series
+        # is singular and the tail rule takes the cutoff
         pp = PointingParams(a0=0.7, xi2=t.alpha, rx_beam_waist_m=0.02)
         m = ChannelModel(t, pp)
-        with pytest.raises(SingularOrderError):
-            composite_pdf(0.3, m)
+        assert composite_pdf(0.3, m) == pytest.approx(composite_pdf_quad(0.3, m), rel=1e-12)
 
     def test_series_denominator_collision(self, models):
         t = models["weak_gg"].turbulence
         # xi2 = beta makes the k = 0 denominator vanish in one sub-series
         pp = PointingParams(a0=0.7, xi2=t.beta, rx_beam_waist_m=0.02)
         m = ChannelModel(t, pp)
-        with pytest.raises(SingularOrderError):
-            composite_pdf(0.3, m, SeriesConfig())
+        pdf = composite_pdf(0.3, m, SeriesConfig())
+        assert pdf == pytest.approx(composite_pdf_quad(0.3, m), rel=1e-12)
+
+
+NEAR_POLE_CUTOFFS = [0.01, 0.1, 0.5, 0.9, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("jitter_m", NEAR_POLE_JITTER_M)
+@pytest.mark.parametrize("u", NEAR_POLE_CUTOFFS)
+def test_near_pole_functionals_match_oracles(jitter_m, u):
+    """Cutoffs past the table's last row take the tail rule; the rest keep the series."""
+    m = reference_model(1.0, jitter_m=jitter_m)
+    c = u * m.pointing.a0
+    assert 1.0 - composite_cdf(c, m) == pytest.approx(tail_tight(c, m), rel=1e-12)
+    assert composite_pdf(c, m) == pytest.approx(composite_pdf_quad(c, m), rel=1e-10)
+    assert mean_inv_above(c, m) == pytest.approx(inv_above_tight(c, m), rel=1e-12)
+    assert mean_excess_inv(c, m) == pytest.approx(excess_inv_tight(c, m), rel=1e-11)

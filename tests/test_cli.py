@@ -80,24 +80,36 @@ class TestConfigParsing:
         cfg = RunConfig.load(None, ["snr.start_db=0", "snr.stop_db=10", "snr.step_db=5"])
         assert cfg.snr_grid() == [0.0, 5.0, 10.0]
 
-    def test_workers_env_override(self, monkeypatch):
-        import argparse
+    @pytest.mark.parametrize(
+        "item, key",
+        [
+            ("snr.stop_db=inf", "snr.stop_db"),
+            ("snr.start_db=nan", "snr.start_db"),
+            ("snr.step_db=nan", "snr.step_db"),
+            ("snr.start_db=-inf", "snr.start_db"),
+        ],
+    )
+    def test_non_finite_grid_rejected(self, item, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.load(None, [item])
 
-        monkeypatch.setenv("FSO_ADAPT_WORKERS", "7")
-        cfg = RunConfig.load(None, None)
-        mc = cfg.mc(argparse.Namespace(workers=None, samples=None, seed=None))
-        assert mc.workers == 7
-        # an explicit flag still wins over the environment
-        mc = cfg.mc(argparse.Namespace(workers=2, samples=None, seed=None))
-        assert mc.workers == 2
+    @pytest.mark.parametrize(
+        "items",
+        [
+            ["snr.stop_db=1e300"],
+            ["snr.step_db=1e-300"],
+            ["snr.start_db=-1e308", "snr.stop_db=1e308"],
+        ],
+    )
+    def test_oversized_grid_rejected(self, items):
+        # rejected when loaded, before a grid is built
+        with pytest.raises(ConfigError, match="snr.step_db"):
+            RunConfig.load(None, items)
 
-    def test_bad_workers_env_is_config_error(self, monkeypatch):
-        import argparse
-
-        monkeypatch.setenv("FSO_ADAPT_WORKERS", "many")
-        cfg = RunConfig.load(None, None)
-        with pytest.raises(ConfigError, match="FSO_ADAPT_WORKERS"):
-            cfg.mc(argparse.Namespace(workers=None, samples=None, seed=None))
+    def test_non_finite_snr_exits_two(self, capsys):
+        code, out, err = run_cli(["ase", "--set", "snr.stop_db=inf"], capsys)
+        assert code == EXIT_CONFIG
+        assert "snr.stop_db" in err and out == ""
 
 
 class TestParamsCommand:

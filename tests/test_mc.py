@@ -44,10 +44,6 @@ class TestConfigs:
         with pytest.raises(ValueError):
             QamSimConfig(m=bad_m, inst_snr_db=10.0, n_symbols=1000)
 
-    def test_qam_mapping_validation(self):
-        with pytest.raises(ValueError):
-            QamSimConfig(m=16, inst_snr_db=10.0, n_symbols=1000, mapping="binary")
-
 
 class TestDeterminism:
     def test_bit_stable_repeat(self, models, policy):
