@@ -24,15 +24,12 @@ from .channel import (
     mean_exp_neg,
     mean_inv_above,
     moment,
-    _SERIES_TOL,
-    _inv_moment,
-    _misalignment,
-    _residue_series,
-    _series_accepts,
-    _series_or_rule,
-    _tail_rule,
+    _log_excess,
+    _mean_inv_irradiance,
+    _mean_log_irradiance,
 )
-# ln_gamma is unused here; the benchmark's trace tests expect this binding
+# digamma and ln_gamma are unused here; the benchmark's trace tests expect
+# these bindings
 from .specfun import SeriesConfig, digamma, ln_gamma
 
 __all__ = [
@@ -95,7 +92,10 @@ class SnrSpec:
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrSpec":
-        return cls(snr_db=snr_db, snr_linear=10.0 ** (snr_db / 10.0))
+        try:
+            return cls(snr_db=snr_db, snr_linear=10.0 ** (snr_db / 10.0))
+        except OverflowError:
+            raise ValueError(f"SNR of {snr_db} dB overflows a float") from None
 
     @classmethod
     def from_linear(cls, snr_linear: float) -> "SnrSpec":
@@ -131,8 +131,8 @@ class ConstellationSet:
             raise ValueError("sizes must be strictly increasing")
         for m in s[1:]:
             r = round(math.log(m, 4))
-            if 4**r != m:
-                raise ValueError(f"nonzero sizes must be powers of 4, got {m}")
+            if r < 1 or 4**r != m:
+                raise ValueError(f"nonzero sizes must be powers of 4 from 4 up, got {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -220,44 +220,11 @@ def solve_cutoff_continuous(
     )
 
 
-def _mean_log_irradiance(m: ChannelModel) -> float:
-    """E[ln I] = psi(a) + psi(b) - ln(ab) + ln A0 - 1/xi2, in nats."""
-    a, b = m.alpha, m.beta
-    a0, xi2 = _misalignment(m)
-    return digamma(a) + digamma(b) - math.log(a * b) + math.log(a0) - 1.0 / xi2
-
-
-def _mean_inv_irradiance(m: ChannelModel) -> float:
-    """E[1/I] = ab / ((a-1)(b-1) A0) * xi2/(xi2-1); inf once min(a, b, xi2) <= 1."""
-    if min(m.alpha, m.beta, _misalignment(m)[1]) <= 1.0:
-        return math.inf
-    return _inv_moment(m)
-
-
 def ase_series(cutoff: float, m: ChannelModel, cfg: SeriesConfig | None = None) -> float:
-    """Closed-form spectral-efficiency ceiling for a solved cutoff, bits/s/Hz.
-
-    E[(ln(I/cutoff))^+] is the base term E[ln I] - ln(cutoff) plus the
-    order-2 residue series of the composite law, misalignment pole
-    included.  Where the series is not trusted, the tail rule integrates
-    its mean over the misalignment factor, ln(t/lo) - (1 - (lo/t)^xi2)/xi2
-    with lo = cutoff/A0, over the gamma-gamma density.
-    """
-    cfg = cfg or SeriesConfig()
+    """Closed-form spectral-efficiency ceiling E[(log2(I/cutoff))^+], bits/s/Hz."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    a0, xi2 = _misalignment(m)
-
-    def series(c):
-        val, tail, peak = _residue_series(c, m, cfg, 2)
-        nats = _mean_log_irradiance(m) - np.log(c) + val
-        return nats, _series_accepts(nats, tail, peak, _SERIES_TOL)
-
-    def rule(c):
-        nats = _tail_rule(c / a0, m, 0, 0.0)
-        return nats if m.pointing is None else nats - _tail_rule(c / a0, m, 0, xi2)
-
-    return float(_series_or_rule(np.array([cutoff]), m, series, rule)[0]) / LN2
+    return float(_log_excess(np.array([cutoff]), m, cfg or SeriesConfig())[0]) / LN2
 
 
 def ase_limit(
@@ -281,8 +248,7 @@ def pointing_penalty(m: ChannelModel) -> float:
     """High-SNR spectral-efficiency loss caused by the misalignment fading."""
     if m.pointing is None:
         raise TypeError("pointing_penalty requires a model with pointing errors")
-    p = m.pointing
-    return (1.0 / p.xi2 - math.log(p.a0)) / LN2
+    return (1.0 / m.xi2 - math.log(m.a0)) / LN2
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +392,8 @@ def adaptive_required_snr(
         raise ValueError(f"target_rb must be > 0, got {target_rb}")
 
     # ase_series sums its series only up to A0, so the search starts below it
-    a0 = _misalignment(m)[0]
     cutoff, _, _ = _bracket_and_solve(
-        lambda c: ase_series(c, m, cfg) - target_rb, 0.25 * a0, 0.5 * a0
+        lambda c: ase_series(c, m, cfg) - target_rb, 0.25 * m.a0, 0.5 * m.a0
     )
     snr_linear = mean_excess_inv(cutoff, m) / policy.k_margin
     if not 1e-3 <= snr_linear <= 1e8:  # -30 to 80 dB

@@ -24,6 +24,7 @@ from scipy.integrate import quad
 from .specfun import (
     SeriesConfig,
     SingularOrderError,
+    digamma,
     ln_gamma,
 )
 
@@ -150,6 +151,15 @@ class ChannelModel:
     def beta(self) -> float:
         return self.turbulence.beta
 
+    # (A0, xi2) of the misalignment factor; (1, inf) pins I_p to 1
+    @property
+    def a0(self) -> float:
+        return 1.0 if self.pointing is None else self.pointing.a0
+
+    @property
+    def xi2(self) -> float:
+        return math.inf if self.pointing is None else self.pointing.xi2
+
 
 # ---------------------------------------------------------------------------
 # parameter derivation
@@ -264,13 +274,6 @@ def gg_pdf(ia: float, t: TurbulenceParams) -> float:
     return _gg_density(t)(ia)
 
 
-def _misalignment(m: ChannelModel) -> tuple[float, float]:
-    """(A0, xi2) of the misalignment factor; (1, inf) pins I_p to 1."""
-    if m.pointing is None:
-        return 1.0, math.inf
-    return m.pointing.a0, m.pointing.xi2
-
-
 def _gg_mellin(s: float, t: TurbulenceParams) -> float:
     """E[I_a^s] = G(a+s) G(b+s) / (G(a) G(b) (ab)^s), analytically continued in s.
 
@@ -295,9 +298,19 @@ def _inv_moment(m: ChannelModel) -> float:
     _gg_mellin(-1) / (A0 (1 - 1/xi2)), kept rational for the ladder's speed.
     """
     a, b = m.alpha, m.beta
-    a0, xi2 = _misalignment(m)
-    inv = a * b / ((a - 1.0) * (b - 1.0) * a0)
-    return inv if m.pointing is None else inv * xi2 / (xi2 - 1.0)
+    inv = a * b / ((a - 1.0) * (b - 1.0) * m.a0)
+    return inv if m.pointing is None else inv * m.xi2 / (m.xi2 - 1.0)
+
+
+def _mean_inv_irradiance(m: ChannelModel) -> float:
+    """E[1/I] = _inv_moment(m); inf once min(a, b, xi2) <= 1."""
+    return math.inf if min(m.alpha, m.beta, m.xi2) <= 1.0 else _inv_moment(m)
+
+
+def _mean_log_irradiance(m: ChannelModel) -> float:
+    """E[ln I] = psi(a) + psi(b) - ln(ab) + ln A0 - 1/xi2, in nats."""
+    a, b = m.alpha, m.beta
+    return digamma(a) + digamma(b) - math.log(a * b) + math.log(m.a0) - 1.0 / m.xi2
 
 
 @functools.lru_cache(maxsize=64)
@@ -317,7 +330,7 @@ def _series_table(m: ChannelModel, max_terms: int):
     when p is near xi2, so a near-double pole costs no accuracy beyond the
     cancellation that the guard's peak sees.
     """
-    a0, xi2 = _misalignment(m)
+    xi2 = m.xi2
     x = np.array([m.alpha, m.beta])
     xb = x[::-1]
     s = np.sin(np.pi * (x - xb))
@@ -371,9 +384,9 @@ def _residue_series(c, m: ChannelModel, cfg: SeriesConfig, order: int, shift: fl
     comes back as NaN.
     """
     p, coeff, ln_g, e_neg, complete = _series_table(m, cfg.max_terms)
-    a0, xi2 = _misalignment(m)
+    xi2 = m.xi2
     c = np.asarray(c, dtype=float)
-    ln_u = np.log(c.reshape(-1) / a0)
+    ln_u = np.log(c.reshape(-1) / m.a0)
     idx = np.arange(len(ln_u))
     k = np.arange(len(p))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -485,10 +498,9 @@ def _tail_rule(lo: np.ndarray, m: ChannelModel, j: int, e=None, layered=False):
 
 def _rule_tail(c: np.ndarray, m: ChannelModel, j: int) -> np.ndarray:
     """E[I^-j; I >= c] by the tail rule: 1 - F(c) for j = 0, E[1/I; I >= c] for j = 1."""
-    a0, xi2 = _misalignment(m)
     if m.pointing is None:
         return _tail_rule(c, m, j)
-    return xi2 / a0**j * _tail_rule(c / a0, m, j, xi2 - j)
+    return m.xi2 / m.a0**j * _tail_rule(c / m.a0, m, j, m.xi2 - j)
 
 
 def _series_or_rule(c: np.ndarray, m: ChannelModel, series, rule) -> np.ndarray:
@@ -497,7 +509,7 @@ def _series_or_rule(c: np.ndarray, m: ChannelModel, series, rule) -> np.ndarray:
     series(cb) returns (value, accepted) at the cutoffs cb <= A0; rule
     takes the rest, and all of them when the series is singular.
     """
-    todo = c > _misalignment(m)[0]
+    todo = c > m.a0
     out = np.empty(c.shape)
     below = ~todo
     if below.any():
@@ -549,7 +561,7 @@ def composite_pdf(i, m: ChannelModel, cfg: SeriesConfig | None = None):
         # the gamma-gamma density has an exact Bessel closed form
         out[pos] = np.exp(_gg_ln_pdf(x[pos], m.turbulence))
         return _shaped(out, arr.shape)
-    a0, xi2 = m.pointing.a0, m.pointing.xi2
+    a0, xi2 = m.a0, m.xi2
 
     def series(c):
         val, tail, peak = _residue_series(c, m, cfg, 0)
@@ -591,8 +603,7 @@ def moment(n: float, m: ChannelModel) -> float:
     """Closed-form n-th moment of the composite irradiance."""
     if not 0 <= n < math.inf:
         raise ValueError(f"n must be finite and >= 0, got {n}")
-    a0, xi2 = _misalignment(m)
-    return _gg_mellin(n, m.turbulence) * a0**n / (1.0 + n / xi2)
+    return _gg_mellin(n, m.turbulence) * m.a0**n / (1.0 + n / m.xi2)
 
 
 # samples per block of the second gamma factor and of the pointing factor
@@ -625,14 +636,13 @@ def sample_irradiance(m: ChannelModel, rng: np.random.Generator, size=None, out=
         rng.standard_gamma(b, out=blk)
         blk *= 1.0 / b
         flat[start : start + blk.size] *= blk
-    p = m.pointing
-    if p is not None:
+    if m.pointing is not None:
         # I_p = 1 needs no uniform draw, and drawing one would shift the
         # random stream of every pointing-free Monte Carlo estimate
         for start, blk in blocks:
             rng.random(out=blk)
-            blk **= 1.0 / p.xi2
-            blk *= p.a0
+            blk **= 1.0 / m.xi2
+            blk *= m.a0
             flat[start : start + blk.size] *= blk
     return float(out[0]) if scalar else out
 
@@ -653,7 +663,7 @@ def mean_inv_above(threshold, m: ChannelModel):
     eps = SeriesConfig.singularity_eps
 
     def series(c):
-        if min(abs(m.alpha - 1.0), abs(m.beta - 1.0), abs(_misalignment(m)[1] - 1.0)) < eps:
+        if min(abs(m.alpha - 1.0), abs(m.beta - 1.0), abs(m.xi2 - 1.0)) < eps:
             raise SingularOrderError("E[1/I] has a pole at a, b or xi2 = 1")
         inv_mean = _inv_moment(m)
         val, tail, peak = _residue_series(c, m, _SERIES, 1, shift=-1.0)
@@ -674,13 +684,33 @@ def mean_excess_inv(cutoff, m: ChannelModel):
     return _shaped(_survival(c, m, _SERIES) / c - mean_inv_above(c, m), shape)
 
 
+def _log_excess(c: np.ndarray, m: ChannelModel, cfg: SeriesConfig) -> np.ndarray:
+    """E[(ln(I/c))^+] in nats at cutoffs c > 0, the ASE functional.
+
+    The series is E[ln I] - ln(c) plus the order-2 residue series of the
+    composite law, misalignment pole included.  The tail rule integrates
+    ln(t/lo) - (1 - (lo/t)^xi2)/xi2, its mean over the misalignment
+    factor, with lo = c/A0 over the gamma-gamma density.
+    """
+
+    def series(c):
+        val, tail, peak = _residue_series(c, m, cfg, 2)
+        nats = _mean_log_irradiance(m) - np.log(c) + val
+        return nats, _series_accepts(nats, tail, peak, _SERIES_TOL)
+
+    def rule(c):
+        nats = _tail_rule(c / m.a0, m, 0, 0.0)
+        return nats if m.pointing is None else nats - _tail_rule(c / m.a0, m, 0, m.xi2)
+
+    return _series_or_rule(c, m, series, rule)
+
+
 def mean_log_excess(cutoff: float, m: ChannelModel) -> float:
     """E[(ln(I/cutoff))^+] in nats."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
     pdf = _gg_density(m.turbulence)
-    a0, xi2 = _misalignment(m)
-    lo = cutoff / a0
+    lo, xi2 = cutoff / m.a0, m.xi2
     inv_xi2 = 1.0 / xi2
 
     def integrand(t):
@@ -700,7 +730,7 @@ def mean_exp_neg(s: float, m: ChannelModel) -> float:
     if s == math.inf:
         return 0.0  # P(I = 0)
     pdf = _gg_density(m.turbulence)
-    a0, xi2 = _misalignment(m)
+    a0, xi2 = m.a0, m.xi2
     # over W = I_p/A0 ~ Beta(xi2, 1), E[exp(x W)] = 1F1(xi2; xi2+1; x); its
     # xi2 = inf limit exp(x) is written out, since scipy's
     # hyp1f1(inf, inf, x) returns 1 for small |x|

@@ -148,6 +148,8 @@ class RunConfig:
         # no sweep wants more points; building a larger grid would only run until killed
         if (stop - start) / step >= 10_000:
             raise ConfigError("snr.step_db: the SNR grid exceeds 10000 points")
+        for key in ("snr.start_db", "snr.stop_db"):
+            _checked(key, SnrSpec.from_db, values[key])
         return cls(raw=values)
 
     def __getitem__(self, key):

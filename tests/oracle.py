@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
-from fso_adapt.channel import _gg_density, _misalignment
+from fso_adapt.channel import _gg_density
 
 _QUAD_OPTS = dict(limit=200, epsabs=1e-13, epsrel=1e-11)
 
@@ -65,7 +65,7 @@ def composite_cdf_quad(i: float, m) -> float:
     P(I <= i) = P(I_a <= i/A0) + (i/A0)^xi2 E[I_a^-xi2; I_a > i/A0],
     where the mixture term vanishes without pointing (xi2 = inf).
     """
-    lo = i / _misalignment(m)[0]
+    lo = i / m.a0
     head, _ = quad(_gg_density(m.turbulence), 0.0, lo, **_QUAD_OPTS)
     if m.pointing is None:
         return head
@@ -102,7 +102,7 @@ def _tight_tail(lo: float, m, weight) -> float:
     """
     a, b = m.alpha, m.beta
     z0 = 2.0 * math.sqrt(a * b * lo)
-    xi2 = _misalignment(m)[1]
+    xi2 = m.xi2
     layer = lo / xi2 if 1.0 < xi2 < math.inf else lo
     step = min(math.sqrt(lo / (a * b)), layer) / 16.0
     end = (math.sqrt(lo) + 350.0 / math.sqrt(a * b)) ** 2
@@ -119,9 +119,15 @@ def _tight_tail(lo: float, m, weight) -> float:
     return math.exp(math.log(total) - z0) if total > 0.0 else 0.0
 
 
+def pdf_tight(c: float, m) -> float:
+    """Density f(c) = (xi2/c) int_lo^inf f_a(t) (lo/t)^xi2 dt, with pointing."""
+    lo, xi2 = c / m.a0, m.xi2
+    return xi2 / c * _tight_tail(lo, m, lambda t: (lo / t) ** xi2)
+
+
 def tail_tight(c: float, m) -> float:
     """1 - F(c) = P(I > c)."""
-    a0, xi2 = _misalignment(m)
+    a0, xi2 = m.a0, m.xi2
     lo = c / a0
     if m.pointing is None:
         return _tight_tail(lo, m, lambda t: 1.0)
@@ -130,7 +136,7 @@ def tail_tight(c: float, m) -> float:
 
 def inv_above_tight(c: float, m) -> float:
     """E[1/I; I >= c]."""
-    a0, xi2 = _misalignment(m)
+    a0, xi2 = m.a0, m.xi2
     lo = c / a0
     if m.pointing is None:
         return _tight_tail(lo, m, lambda t: 1.0 / t)
@@ -149,7 +155,7 @@ def log_excess_tight(c: float, m) -> float:
     Over the misalignment factor, E[(ln(t I_p/c))^+] = ln(t/lo) -
     (1 - (lo/t)^xi2)/xi2 at I_a = t > lo.
     """
-    a0, xi2 = _misalignment(m)
+    a0, xi2 = m.a0, m.xi2
     lo = c / a0
     if m.pointing is None:
         return _tight_tail(lo, m, lambda t: math.log(t / lo))
@@ -163,7 +169,7 @@ def log_excess_tight(c: float, m) -> float:
 
 def excess_inv_tight(c: float, m) -> float:
     """E[(1/c - 1/I)^+]."""
-    a0, xi2 = _misalignment(m)
+    a0, xi2 = m.a0, m.xi2
     lo = c / a0
     if m.pointing is None:
         return _tight_tail(lo, m, lambda t: 1.0 / c - 1.0 / (a0 * t))

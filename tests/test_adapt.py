@@ -96,6 +96,11 @@ class TestSnrSpec:
         with pytest.raises(ValueError, match="finite"):
             SnrSpec.from_db(snr_db)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_beyond_float_range_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="4000"):
+            SnrSpec.from_db(snr_db)
+
     def test_infinite_linear_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             SnrSpec.from_linear(math.inf)
@@ -107,7 +112,7 @@ class TestConstellationSet:
 
     @pytest.mark.parametrize(
         "sizes",
-        [(4, 16), (0,), (0, 16, 4), (0, 4, 8), (0, 4, 4)],
+        [(4, 16), (0,), (0, 16, 4), (0, 4, 8), (0, 4, 4), (0, 1, 4, 16), (0, 1)],
     )
     def test_validation(self, sizes):
         with pytest.raises(ValueError):
@@ -391,7 +396,7 @@ class TestDiscreteScheme:
         # the constraint's power stays below (M_max - 1) E[1/I], so the
         # ladder has a cutoff just below that SNR and none above it
         m = models[key]
-        sat_db = 10.0 * math.log10(1023.0 * adapt._mean_inv_irradiance(m) / policy.k_margin)
+        sat_db = 10.0 * math.log10(1023.0 * channel._mean_inv_irradiance(m) / policy.k_margin)
         below = discrete_ase(SnrSpec.from_db(sat_db - 0.5), policy, m).ase_bits
         assert math.isfinite(below) and 9.9 < below < 10.0
         calls = []
@@ -466,7 +471,7 @@ class TestCutoffBrackets:
     def test_bounds_hold_below_saturation(self, models, policy, key):
         # the closed-form brackets the cutoff and fixed-rate solves start from
         m = models[key]
-        inv_mean = adapt._mean_inv_irradiance(m)
+        inv_mean = channel._mean_inv_irradiance(m)
         sat_db = 10.0 * math.log10(1023.0 * inv_mean / policy.k_margin)
         cset = ConstellationSet()
         for db in [-10.0, 0.0, 10.0, 20.0, 30.0, sat_db - 0.5]:

@@ -13,6 +13,7 @@ from fso_adapt.channel import (
     TurbulenceParams,
     Variant,
     _gg_mellin,
+    _log_excess,
     beam_waist_at_rx,
     composite_cdf,
     composite_pdf,
@@ -35,6 +36,8 @@ from oracle import (
     composite_pdf_quad,
     excess_inv_tight,
     inv_above_tight,
+    log_excess_tight,
+    pdf_tight,
     tail_tight,
 )
 
@@ -196,6 +199,12 @@ class TestChannelModel:
         assert models["weak_gg"].variant is Variant.GG_ONLY
         assert models["weak_pe"].variant is Variant.GG_POINTING
         assert models["weak_gg"].alpha == models["weak_pe"].alpha
+
+    def test_misalignment_parameters(self, models):
+        # without pointing, A0 = 1 and xi2 = inf pin I_p to 1
+        assert (models["weak_gg"].a0, models["weak_gg"].xi2) == (1.0, math.inf)
+        p = models["weak_pe"].pointing
+        assert (models["weak_pe"].a0, models["weak_pe"].xi2) == (p.a0, p.xi2)
 
     def test_turbulence_validation(self):
         with pytest.raises(ValueError):
@@ -610,7 +619,7 @@ class TestSingularityGuards:
         assert pdf == pytest.approx(composite_pdf_quad(0.3, m), rel=1e-12)
 
 
-NEAR_POLE_CUTOFFS = [0.01, 0.1, 0.5, 0.9, 1.0, 2.0]
+NEAR_POLE_CUTOFFS = [1e-3, 0.01, 0.1, 0.5, 0.9, 1.0, 2.0]
 
 
 @pytest.mark.parametrize("jitter_m", NEAR_POLE_JITTER_M)
@@ -620,6 +629,8 @@ def test_near_pole_functionals_match_oracles(jitter_m, u):
     m = reference_model(1.0, jitter_m=jitter_m)
     c = u * m.pointing.a0
     assert 1.0 - composite_cdf(c, m) == pytest.approx(tail_tight(c, m), rel=1e-12)
-    assert composite_pdf(c, m) == pytest.approx(composite_pdf_quad(c, m), rel=1e-10)
+    assert composite_pdf(c, m) == pytest.approx(pdf_tight(c, m), rel=1e-12)
     assert mean_inv_above(c, m) == pytest.approx(inv_above_tight(c, m), rel=1e-12)
     assert mean_excess_inv(c, m) == pytest.approx(excess_inv_tight(c, m), rel=1e-11)
+    log_excess = _log_excess(np.array([c]), m, SeriesConfig())[0]
+    assert log_excess == pytest.approx(log_excess_tight(c, m), rel=1e-12)

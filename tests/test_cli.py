@@ -106,6 +106,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="snr.step_db"):
             RunConfig.load(None, items)
 
+    @pytest.mark.parametrize(
+        "items, key",
+        [
+            (["snr.stop_db=4000"], "snr.stop_db"),
+            (["snr.start_db=4000", "snr.stop_db=4000"], "snr.start_db"),
+            (["snr.start_db=-4000"], "snr.start_db"),
+        ],
+    )
+    def test_snr_beyond_float_range_rejected(self, items, key):
+        # 10^(dB/10) overflows or underflows to 0 at either end of the grid
+        with pytest.raises(ConfigError, match=f"{key}: .*4000"):
+            RunConfig.load(None, items)
+
     def test_non_finite_snr_exits_two(self, capsys):
         code, out, err = run_cli(["ase", "--set", "snr.stop_db=inf"], capsys)
         assert code == EXIT_CONFIG
@@ -335,6 +348,9 @@ class TestExitCodes:
             (["params", "--set", "ber.target=0.5"], "ber.target"),
             (["ase", "--set", "constellations=0,5"], "constellations"),
             (["ase", "--set", "series.convergence_tol=0.1"], "series.convergence_tol"),
+            (["ase", "--set", "constellations=0,1,4"], "constellations"),
+            (["ase", "--set", "snr.start_db=4000", "--set", "snr.stop_db=4000"], "snr.start_db"),
+            (["mc", "--set", "snr.start_db=-4000", "--set", "snr.stop_db=0"], "snr.start_db"),
         ],
     )
     def test_config_value_outside_domain_is_two(self, argv, key, capsys):

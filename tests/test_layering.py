@@ -1,0 +1,41 @@
+"""The series engine stays inside channel: the modules above it import only its functionals."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fso_adapt"
+
+# the residue series, its guard, the series-or-rule router, the tail rule
+# and the rational E[1/I] are channel's own building blocks
+ENGINE = {
+    "_residue_series",
+    "_series_accepts",
+    "_series_or_rule",
+    "_tail_rule",
+    "_SERIES_TOL",
+    "_inv_moment",
+    "_misalignment",
+}
+
+
+def channel_imports(path: Path) -> set:
+    """Every name that the module imports from .channel."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "channel"
+        for alias in node.names
+    }
+
+
+@pytest.mark.parametrize("module", ["adapt.py", "mc.py", "cli.py"])
+def test_no_series_engine_import(module):
+    assert channel_imports(SRC / module) & ENGINE == set()
+
+
+def test_adapt_reads_the_law_from_channel():
+    # the check above sees the imports it is meant to see
+    assert {"mean_inv_above", "_log_excess"} <= channel_imports(SRC / "adapt.py")

@@ -19,7 +19,6 @@ from fso_adapt.channel import (
     TurbulenceParams,
     _gg_mellin,
     _inv_moment,
-    _misalignment,
     _residue_series,
     _series_accepts,
     gg_params,
@@ -140,7 +139,7 @@ def test_moments_are_one_mellin_transform(sigma_r2, jitter_m, pointing):
     """E[I^n] and the rational E[1/I] are the gamma-gamma transform at s = n and -1."""
     m = reference_model(sigma_r2, pointing, jitter_m)
     a, b = m.alpha, m.beta
-    a0, xi2 = _misalignment(m)
+    a0, xi2 = m.a0, m.xi2
     for n in range(4):
         ln_turb = (
             math.lgamma(a + n) + math.lgamma(b + n) - math.lgamma(a) - math.lgamma(b)
