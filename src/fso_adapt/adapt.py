@@ -118,21 +118,40 @@ class AdaptiveSolution:
 
 @dataclass(frozen=True)
 class ConstellationSet:
-    """Ordered admissible square-QAM sizes; entry 0 means no transmission."""
+    """Ordered admissible square-QAM sizes; entry 0 means no transmission.
+
+    Region i >= 1 starts at sizes[i] * cutoff; every region i carries
+    bits[i] = log2 max(sizes[i], 1) and spends spend[i] / (k_margin I),
+    spend[i] = max(sizes[i], 1) - 1, so the outage region 0 has neither.
+    """
 
     sizes: tuple = (0, 4, 16, 64, 256, 1024)
+    bits: np.ndarray = field(init=False, repr=False, compare=False)
+    spend: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = tuple(int(v) for v in self.sizes)
-        object.__setattr__(self, "sizes", s)
-        if len(s) < 2 or s[0] != 0:
+        if len(self.sizes) < 2 or float(self.sizes[0]) != 0:
             raise ValueError("sizes must start with 0 and contain at least one order")
+        s = (0, *map(self.square_qam, self.sizes[1:]))
+        object.__setattr__(self, "sizes", s)
         if any(b <= a for a, b in zip(s, s[1:])):
             raise ValueError("sizes must be strictly increasing")
-        for m in s[1:]:
-            r = round(math.log(m, 4))
-            if r < 1 or 4**r != m:
-                raise ValueError(f"nonzero sizes must be powers of 4 from 4 up, got {m}")
+        active = np.maximum(s, 1.0)  # the outage region as a 1-point constellation
+        for name, val in (("bits", np.log2(active)), ("spend", active - 1.0)):
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
+
+    @staticmethod
+    def square_qam(m) -> int:
+        """m as an int if it is a square-QAM size 4^r with r >= 1, else ValueError."""
+        n = int(m)
+        if float(m) != n or n < 4 or 4 ** round(math.log(n, 4)) != n:
+            raise ValueError(f"a square-QAM size is a power of 4 from 4 up, got {m}")
+        return n
+
+    def bounds(self, cutoff: float) -> np.ndarray:
+        """Lower edges of regions 1 to n at the given cutoff."""
+        return np.multiply(self.sizes[1:], cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -259,37 +278,25 @@ def discrete_regions(cset: ConstellationSet, cutoff_star: float):
     """Partition of the irradiance axis into (low, high, size) regions."""
     if not cutoff_star > 0:
         raise ValueError(f"cutoff_star must be > 0, got {cutoff_star}")
-    sizes = cset.sizes
-    out = []
-    lo = 0.0
-    for i, msize in enumerate(sizes):
-        hi = sizes[i + 1] * cutoff_star if i + 1 < len(sizes) else math.inf
-        out.append((lo, hi, msize))
-        lo = hi
-    return out
+    edges = [0.0, *cset.bounds(cutoff_star).tolist(), math.inf]
+    return list(zip(edges, edges[1:], cset.sizes))
 
 
 def discrete_power(i: float, region_m: int, policy: BerPolicy) -> float:
     """Channel-inversion power keeping the BER target inside one region."""
     if region_m == 0:
         return 0.0
-    if region_m < 4:
-        raise ValueError(f"active regions need a size >= 4, got {region_m}")
+    spend = ConstellationSet.square_qam(region_m) - 1.0
     if not i > 0:
         raise ValueError(f"i must be > 0 inside an active region, got {i}")
-    return (region_m - 1.0) / (policy.k_margin * i)
+    return spend / (policy.k_margin * i)
 
 
 def _discrete_constraint(cutoff_star, snr, policy, m, cset):
-    sizes = cset.sizes
-    # the upper edge of each rung is the lower edge of the next, so each
-    # boundary's tail E[1/I; I >= size * cutoff_star] is evaluated once,
-    # all in one call
-    tails = [*mean_inv_above(np.multiply(sizes[1:], cutoff_star), m), 0.0]
-    total = 0.0
-    for i in range(1, len(sizes)):
-        total += (sizes[i] - 1.0) * (tails[i - 1] - tails[i])
-    return total - policy.k_margin * snr.snr_linear
+    # summed by parts, each boundary's tail E[1/I; I >= edge] enters once,
+    # and all of them come from one call
+    tails = mean_inv_above(cset.bounds(cutoff_star), m)
+    return float(np.diff(cset.spend) @ tails) - policy.k_margin * snr.snr_linear
 
 
 def solve_cutoff_discrete(
@@ -305,7 +312,7 @@ def solve_cutoff_discrete(
     takes, there is no root and SolverBracketError is raised at once.
     """
     cset = cset or ConstellationSet()
-    saturation = (cset.sizes[-1] - 1.0) * _mean_inv_irradiance(m)
+    saturation = cset.spend[-1] * _mean_inv_irradiance(m)
     if policy.k_margin * snr.snr_linear >= saturation:
         sat_db = 10.0 * math.log10(saturation / policy.k_margin)
         raise SolverBracketError(
@@ -330,12 +337,9 @@ def discrete_ase(
     """Average spectral efficiency achieved by the finite constellation ladder."""
     cset = cset or ConstellationSet()
     sol = solve_cutoff_discrete(snr, policy, m, cset)
-    sizes = cset.sizes
-    cdf_vals = [*composite_cdf(np.multiply(sizes[1:], sol.cutoff), m, cfg), 1.0]
-    bits = 0.0
-    for i in range(1, len(sizes)):
-        bits += math.log2(sizes[i]) * (cdf_vals[i] - cdf_vals[i - 1])
-    return replace(sol, ase_bits=bits)
+    # summed by parts: each edge adds its step in bits times P(I >= edge)
+    survival = 1.0 - composite_cdf(cset.bounds(sol.cutoff), m, cfg)
+    return replace(sol, ase_bits=float(np.diff(cset.bits) @ survival))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +395,6 @@ def adaptive_required_snr(
     if not target_rb > 0:
         raise ValueError(f"target_rb must be > 0, got {target_rb}")
 
-    # ase_series sums its series only up to A0, so the search starts below it
     cutoff, _, _ = _bracket_and_solve(
         lambda c: ase_series(c, m, cfg) - target_rb, 0.25 * m.a0, 0.5 * m.a0
     )

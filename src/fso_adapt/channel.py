@@ -565,7 +565,7 @@ def composite_pdf(i, m: ChannelModel, cfg: SeriesConfig | None = None):
 
     def series(c):
         val, tail, peak = _residue_series(c, m, cfg, 0)
-        return np.maximum(val / c, 0.0), _series_accepts(val / c, tail / c, peak / c, 1e-7)
+        return np.maximum(val / c, 0.0), _series_accepts(val / c, tail / c, peak / c, _SERIES_TOL)
 
     rule = lambda c: xi2 / c * _tail_rule(c / a0, m, 0, xi2, layered=True)
     out[pos] = _series_or_rule(x[pos], m, series, rule)
@@ -576,7 +576,7 @@ def _survival(c: np.ndarray, m: ChannelModel, cfg: SeriesConfig) -> np.ndarray:
     """1 - F(c) at cutoffs c > 0.
 
     The series' guard takes it only if both F and 1 - F are good to
-    _SERIES_TOL: the ladder and the power constraint use the complement.
+    _SERIES_TOL: the power constraint uses the complement.
     """
 
     def series(c):
@@ -595,7 +595,13 @@ def composite_cdf(i, m: ChannelModel, cfg: SeriesConfig | None = None):
     x = arr.reshape(-1)
     out = np.zeros(x.shape)
     pos = x > 0.0
-    out[pos] = np.clip(1.0 - _survival(x[pos], m, cfg), 0.0, 1.0)
+
+    def series(c):
+        val, tail, peak = _residue_series(c, m, cfg, 1)
+        return val, _series_accepts(val, tail, peak, _SERIES_TOL)
+
+    rule = lambda c: 1.0 - _rule_tail(c, m, 0)
+    out[pos] = np.clip(_series_or_rule(x[pos], m, series, rule), 0.0, 1.0)
     return _shaped(out, arr.shape)
 
 

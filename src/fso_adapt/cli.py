@@ -344,8 +344,8 @@ def cmd_ase(config: RunConfig, args) -> int:
 def cmd_required_snr(config: RunConfig, args) -> int:
     parse = lambda: [float(t) for t in args.targets.split(",")]
     targets = _checked("--targets", parse) if args.targets else _TARGETS
-    if any(t <= 0 for t in targets):
-        raise ConfigError("targets must be positive")
+    if not all(0 < t < math.inf for t in targets):
+        raise ConfigError(f"--targets: each target must be finite and > 0, got {args.targets}")
     return _required_snr_table(config, args.out or config["output.path"], targets)
 
 

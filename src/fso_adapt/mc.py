@@ -65,9 +65,9 @@ class QamSimConfig:
     n_symbols: int
 
     def __post_init__(self):
-        r = round(math.log(self.m, 4)) if self.m >= 4 else -1
-        if r < 1 or 4**r != self.m:
-            raise ValueError(f"m must be a power of 4 (square QAM), got {self.m}")
+        ConstellationSet.square_qam(self.m)
+        if self.m > 4096:
+            raise ValueError(f"m above 4096 (64 levels per axis) is not simulated, got {self.m}")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be positive")
 
@@ -193,17 +193,15 @@ def estimate_discrete_ase_mc(
     """Sampled spectral efficiency of the finite constellation ladder."""
     if cutoff is None:
         cutoff = solve_cutoff_discrete(snr, policy, model, cset).cutoff
-    sizes = np.array(cset.sizes, dtype=float)
-    bounds = sizes[1:] * cutoff  # region i starts at sizes[i] * cutoff
-    bits_by_region = np.concatenate(([0.0], np.log2(sizes[1:])))
+    bounds = cset.bounds(cutoff)
 
     def bits(i):
-        return np.take(bits_by_region, _region(bounds, i), out=i, mode="clip")
+        return np.take(cset.bits, _region(bounds, i), out=i, mode="clip")
 
     return _reduce_mean(model, cfg, bits)
 
 
-# precomputed popcounts for Gray-label XORs (up to 32 levels per axis)
+# precomputed popcounts for Gray-label XORs (up to 64 levels per axis)
 _POPCOUNT = np.array([bin(v).count("1") for v in range(64)], dtype=np.int64)
 
 _CHUNK = 1 << 20
@@ -281,15 +279,13 @@ def audit_power_constraint(
 
     elif scheme == "discrete":
         cset = cset or ConstellationSet()
-        sizes = np.array(cset.sizes, dtype=float)
-        bounds = sizes[1:] * cutoff
-        m_minus_1 = np.concatenate(([0.0], sizes[1:] - 1.0))
+        bounds = cset.bounds(cutoff)
 
         def power(i):
             idx = _region(bounds, i)
             np.maximum(i, 1e-300, out=i)
             i *= k
-            return np.divide(m_minus_1[idx], i, out=i)
+            return np.divide(cset.spend[idx], i, out=i)
 
     else:
         raise ValueError(f"unknown scheme {scheme!r}")

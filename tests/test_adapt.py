@@ -110,9 +110,17 @@ class TestConstellationSet:
     def test_default_ladder(self):
         assert ConstellationSet().sizes == (0, 4, 16, 64, 256, 1024)
 
+    def test_ladder_layout(self):
+        cset = ConstellationSet((0, 4, 64))
+        assert cset.bounds(0.5).tolist() == [2.0, 32.0]
+        assert cset.bits.tolist() == [0.0, 2.0, 6.0]
+        assert cset.spend.tolist() == [0.0, 3.0, 63.0]
+        with pytest.raises(ValueError):
+            cset.spend[1] = 4.0  # shared by every caller, so read-only
+
     @pytest.mark.parametrize(
         "sizes",
-        [(4, 16), (0,), (0, 16, 4), (0, 4, 8), (0, 4, 4), (0, 1, 4, 16), (0, 1)],
+        [(4, 16), (0,), (0, 16, 4), (0, 4, 8), (0, 4, 4), (0, 1, 4, 16), (0, 1), (0, 4.7, 16.9)],
     )
     def test_validation(self, sizes):
         with pytest.raises(ValueError):
@@ -328,6 +336,8 @@ class TestDiscreteScheme:
         assert discrete_power(0.5, 0, policy) == 0.0
         with pytest.raises(ValueError):
             discrete_power(0.5, 2, policy)
+        with pytest.raises(ValueError):
+            discrete_power(1.0, 5, policy)
         with pytest.raises(ValueError):
             discrete_power(0.0, 4, policy)
 

