@@ -350,7 +350,9 @@ def fixed_required_snr(target_rb: float, target_ber: float, m: ChannelModel) -> 
     """SNR a fixed constellation needs for the fading-averaged BER target.
 
     The constellation is the one achieving the requested spectral
-    efficiency, M = 2^target_rb, driven at constant power.
+    efficiency, M = 2^target_rb, driven at constant power.  The root is
+    searched in [-20, 90] dB; an answer outside that window raises
+    SolverBracketError.
     """
     if not target_rb > 0:
         raise ValueError(f"target_rb must be > 0, got {target_rb}")
@@ -373,7 +375,7 @@ def fixed_required_snr(target_rb: float, target_ber: float, m: ChannelModel) -> 
     db = lambda s: 10.0 * math.log10(s * (msize - 1.0) / 1.5)
     lo, hi = max(db(s_lo), -20.0), min(db(s_hi), 90.0)
     if not lo < hi or res(lo) < 0 or res(hi) > 0:
-        raise SolverBracketError("fixed-rate SNR bracket failed")
+        raise SolverBracketError("fixed-rate SNR outside [-20, 90] dB")
     return SnrSpec.from_db(brentq(res, lo, hi, xtol=1e-9, maxiter=200))
 
 

@@ -3,10 +3,11 @@
 Maps physical link settings (geometry, turbulence strength, jitter) to
 distribution parameters, and exposes the fading law of the composite
 irradiance I = I_a * I_p three ways: a closed-form residue series below
-A0 with a Gauss-Laguerre tail rule beyond it, quadrature (the Laplace
-functional, and the log-excess as a reference), and Monte Carlo sampling.  I_a is gamma-gamma
-distributed (product of two unit-mean gamma variates) and I_p follows a
-power-law misalignment model on (0, A0].
+A0 with a Gauss-Laguerre tail rule beyond it (and, for the Laplace
+transform, the same series in 1/(s A0) with an exp-sinh rule), quadrature
+of the log-excess as a reference, and Monte Carlo sampling.  I_a is
+gamma-gamma distributed (product of two unit-mean gamma variates) and I_p
+follows a power-law misalignment model on (0, A0].
 """
 
 from __future__ import annotations
@@ -727,19 +728,88 @@ def mean_log_excess(cutoff: float, m: ChannelModel) -> float:
     return val
 
 
+# exp-sinh nodes of the Laplace rule, t = scale exp((pi/2) sinh tau) at
+# tau = -4, -4 + 1/16, ..., 4.5: the exponent of t/scale, and the log of
+# each node's weight h dt/dtau / t.  Further down than tau = -4, kve
+# overflows before the density is nil.
+_EXP_SINH_TAU = np.arange(-64, 73) / 16.0
+_EXP_SINH_LN_T = 0.5 * math.pi * np.sinh(_EXP_SINH_TAU)
+_EXP_SINH_LN_W = np.log(math.pi / 32.0 * np.cosh(_EXP_SINH_TAU))
+
+
+def _laplace_series(y: float, m: ChannelModel) -> float:
+    """E[exp(-s I)] at y = s A0 by the residue series in 1/y; NaN where its guard fails.
+
+    It is the distribution's series transformed term by term through
+    E[exp(-s I)] = s int_0^inf exp(-s c) F(c) dc: the term of the pole p
+    becomes g_k Gamma(p) y^-p / (1 - p/xi2), and the misalignment pole
+    E[I_a^-xi2] Gamma(xi2 + 1) y^-xi2.  It converges for every y, fastest
+    for large y.  The guard is relative, since the value falls to the
+    bottom of the double range.
+    """
+    p, coeff, ln_g, e_neg, complete = _series_table(m, _SERIES.max_terms)
+    ln_y = math.log(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = coeff * np.exp(ln_g + special.gammaln(p) - p * ln_y)
+        mag = np.abs(terms).max(axis=-1)
+        sums = terms.sum(axis=-1).cumsum()
+        # <= so that a sum whose terms all underflowed stops at 0
+        done = (np.arange(len(p)) > 0) & (mag <= _SERIES.convergence_tol * np.abs(sums))
+    if not done.any():
+        # terms that still grow at the last row can grow on to meet the
+        # misalignment pole, so an unfinished sum is no bound on the rest
+        return math.nan
+    last = done.argmax()
+    val, peak, tail = sums[last], mag[: last + 1].max(), 0.0
+    if m.pointing is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pole = e_neg * np.exp(special.gammaln(m.xi2 + 1.0) - m.xi2 * ln_y)
+        val, peak = val + pole, max(peak, abs(pole))
+        if not complete:
+            tail = abs(pole)  # its partner, the row the table was cut at, is missing
+    if not 0.0 < val < math.inf:
+        return 0.0 if peak == 0.0 else math.nan  # 0 once every term underflowed
+    return float(val) if _series_accepts(1.0, tail / val, peak / val, _SERIES_TOL) else math.nan
+
+
+def _laplace_rule(y: float, m: ChannelModel) -> float:
+    """E[exp(-s I)] at y = s A0 by the exp-sinh rule over the gamma-gamma density.
+
+    The integrand is f_a(t) times exp(-y t), or with pointing its mean
+    over W = I_p/A0 ~ Beta(xi2, 1), E[exp(-y t W)] = 1F1(xi2; xi2+1; -y t).
+    The nodes are centred where the mass lies: about 1/y when the density's
+    origin power min(a, b) - 1 governs, and about 1 when xi2 < min(a, b),
+    where the misalignment pole's y^-xi2 holds the mass at the bulk of f_a.
+    """
+    low = min(m.alpha, m.beta)
+    scale = 1.0 if m.xi2 < low else low / (low + y)
+    ln_t = math.log(scale) + _EXP_SINH_LN_T
+    t = np.exp(ln_t)
+    ln_f = _gg_ln_pdf(t, m.turbulence) + ln_t + _EXP_SINH_LN_W
+    # where kve overflows, at the lowest nodes of a large |a - b|, the
+    # density's share is below t^min(a, b) there: those nodes count as nil
+    ln_f[~np.isfinite(ln_f)] = -np.inf
+    if m.pointing is None:
+        return float(np.exp(ln_f - y * t).sum())
+    return float((np.exp(ln_f) * special.hyp1f1(m.xi2, m.xi2 + 1.0, -y * t)).sum())
+
+
 def mean_exp_neg(s: float, m: ChannelModel) -> float:
-    """E[exp(-s I)], the Laplace transform of the irradiance law."""
+    """E[exp(-s I)], the Laplace transform of the irradiance law.
+
+    The residue series in 1/(s A0) takes it where its guard accepts,
+    large s; the exp-sinh rule takes the rest, and all of it when the
+    series is singular.
+    """
     if not s >= 0:
         raise ValueError(f"s must be >= 0, got {s}")
     if s == 0.0:
         return 1.0
     if s == math.inf:
         return 0.0  # P(I = 0)
-    pdf = _gg_density(m.turbulence)
-    a0, xi2 = m.a0, m.xi2
-    # over W = I_p/A0 ~ Beta(xi2, 1), E[exp(x W)] = 1F1(xi2; xi2+1; x); its
-    # xi2 = inf limit exp(x) is written out, since scipy's
-    # hyp1f1(inf, inf, x) returns 1 for small |x|
-    inner = math.exp if math.isinf(xi2) else partial(special.hyp1f1, xi2, xi2 + 1.0)
-    val, _ = quad(lambda t: inner(-s * a0 * t) * pdf(t), 0.0, np.inf, **_QUAD_OPTS)
-    return val
+    y = s * m.a0
+    try:
+        val = _laplace_series(y, m)
+    except SingularOrderError:
+        val = math.nan
+    return _laplace_rule(y, m) if math.isnan(val) else val

@@ -13,11 +13,8 @@ import argparse
 import csv
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-
-from scipy.integrate import IntegrationWarning
 
 from . import (
     BerPolicy,
@@ -223,28 +220,17 @@ def _table(path: str | None, header: list[str], rows) -> int:
     compute() returns the row's value cells.  A row whose numerics fail
     is written as nan, with a warning that names it, and the other rows
     are still computed; the command then exits with the numeric code.
-    The quadrature warnings of a row are counted into one stderr line.
     """
     out = []
     failures = 0
     for labels, compute in rows:
-        name = ", ".join(f"{k}={v}" for k, v in zip(header, labels))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", IntegrationWarning)
-            try:
-                cells = compute()
-            except SolverBracketError as exc:
-                failures += 1
-                cells = ["nan"] * (len(header) - len(labels))
-                print(f"warning: {name} failed: {exc}", file=sys.stderr)
-        quad_warnings = 0
-        for w in caught:
-            if issubclass(w.category, IntegrationWarning):
-                quad_warnings += 1
-            else:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        if quad_warnings:
-            print(f"warning: {name}: {quad_warnings} quadrature warnings", file=sys.stderr)
+        try:
+            cells = compute()
+        except SolverBracketError as exc:
+            failures += 1
+            cells = ["nan"] * (len(header) - len(labels))
+            name = ", ".join(f"{k}={v}" for k, v in zip(header, labels))
+            print(f"warning: {name} failed: {exc}", file=sys.stderr)
         out.append([*labels, *cells])
     _write_csv(path, header, out)
     return EXIT_NUMERIC if failures else EXIT_OK

@@ -199,3 +199,39 @@ def excess_inv_tight(c: float, m) -> float:
                 + xi2 / (a0 * t) * math.expm1(e * ln_u) / e)
 
     return _tight_tail(lo, m, weight)
+
+
+# ---------------------------------------------------------------------------
+# the tight oracle of the Laplace transform
+
+
+def laplace_tight(s: float, m) -> float:
+    """E[exp(-s I)] = int_0^inf f_a(t) E[exp(-s A0 t W)] dt to a relative 1e-13.
+
+    W = I_p/A0 ~ Beta(xi2, 1) has E[exp(-x W)] = 1F1(xi2; xi2+1; -x); it
+    is exp(-x) without pointing.  The integral is taken in u = ln t, cut
+    into unit pieces, from below both the point ln(1/(s A0)) where the
+    mass gathers at large s and the body of ln I_a, whose standard
+    deviation is sqrt(psi'(a) + psi'(b)), to 12 of those above 0.  The
+    lower end lies 12 deviations and 40/min(a, b) further down, since the
+    density's origin power t^(min(a, b) - 1) leaves e^-40 of the mass
+    below that.  A piece whose integrand runs into the subnormal range
+    is taken to an absolute 1e-300.
+    """
+    a, b = m.alpha, m.beta
+    y, xi2 = s * m.a0, m.xi2
+    if m.pointing is None:
+        mean_w = lambda x: math.exp(-x)
+    else:
+        mean_w = lambda x: special.hyp1f1(xi2, xi2 + 1.0, -x)
+
+    def f(u):
+        t = math.exp(u)
+        return math.exp(_ln_gg_pdf(t, a, b) + u) * mean_w(y * t)
+
+    knee = -math.log(y)
+    width = 12.0 * math.sqrt(special.polygamma(1, a) + special.polygamma(1, b))
+    lo = min(knee, 0.0) - width - 40.0 / min(a, b)
+    cuts = sorted({*np.arange(lo, width, 1.0), knee if knee < width else lo, 0.0, width})
+    opts = dict(TIGHT, epsabs=1e-300)
+    return sum(quad(f, u, v, **opts)[0] for u, v in zip(cuts, cuts[1:]))

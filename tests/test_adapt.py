@@ -582,6 +582,11 @@ class TestRequiredSnr:
                 adaptive_required_snr(rb, policy, m)
         assert calls == []
 
+    def test_fixed_rate_outside_snr_window(self, models):
+        # at BER 1e-12, 8 bits over strong turbulence need more than 90 dB
+        with pytest.raises(SolverBracketError, match=r"outside \[-20, 90\] dB"):
+            fixed_required_snr(8.0, 1e-12, models["strong_gg"])
+
     @pytest.mark.parametrize("rb", [40.0, 1e-4, 1000.0])
     def test_outside_snr_window(self, models, policy, rb):
         # 40 bits needs more than 80 dB, 1e-4 bits less than -30 dB; the

@@ -38,6 +38,7 @@ from oracle import (
     composite_pdf_quad,
     excess_inv_tight,
     inv_above_tight,
+    laplace_tight,
     log_excess_tight,
     pdf_tight,
     tail_tight,
@@ -550,17 +551,37 @@ class TestExpectationHelpers:
         )
         assert mean_inv_above(thr, m) == pytest.approx(val, rel=1e-7)
 
-    @pytest.mark.parametrize("key", ["weak_gg", "weak_pe", "weak_pe_1mm"])
-    def test_mean_exp_neg_oracle(self, models, key, series_cfg_hi):
-        # 1 mm jitter gives xi2 = 317, where the incomplete-gamma form of
-        # the misalignment factor's inner mean underflows
+    @pytest.mark.parametrize(
+        "key",
+        ["weak_gg", "weak_pe", "moderate_gg", "moderate_pe", "strong_gg", "strong_pe",
+         "weak_pe_1mm"],
+    )
+    def test_mean_exp_neg_oracle(self, models, key):
+        # s = 0.1 .. 1e5 runs from the exp-sinh rule through the switch to
+        # the series; 1 mm jitter gives xi2 = 317, where the incomplete-
+        # gamma form of the misalignment factor's inner mean underflows
         m = models[key] if key in models else reference_model(0.4, True, 0.001)
-        s = 2.5
-        split = m.pointing.a0 if m.variant is Variant.GG_POINTING else 1.0
-        f = lambda i: math.exp(-s * i) * composite_pdf(i, m, series_cfg_hi)
-        head, _ = quad(f, 0, split, limit=300)
-        tail, _ = quad(f, split, np.inf, limit=300)
-        assert mean_exp_neg(s, m) == pytest.approx(head + tail, rel=1e-6)
+        for s in np.logspace(-1.0, 5.0, 25):
+            expect = laplace_tight(s, m)
+            assert mean_exp_neg(s, m) == pytest.approx(expect, rel=1e-12, abs=1e-300), s
+
+    @pytest.mark.parametrize(
+        "key, s, expect",
+        [("strong_gg", 3e4, 1.2224299429e-7), ("strong_pe", 2e5, 4.970531410e-8),
+         ("weak_gg", 1e4, 1.5059395041e-16)],
+    )
+    def test_mean_exp_neg_at_large_s(self, models, key, s, expect):
+        # values of the Meijer-G closed form, at 30 digits; adaptive
+        # quadrature over (0, inf) missed the mass near t = 1/(s A0) and
+        # gave 5.5e-32, 8.8e-15 and 5.9e-20
+        assert mean_exp_neg(s, models[key]) == pytest.approx(expect, rel=1e-9, abs=0)
+
+    def test_mean_exp_neg_where_kve_overflows(self):
+        # a - b = 39: scipy's kve overflows at the rule's lowest nodes,
+        # where the density is nil; Meijer-G values at 30 digits
+        m = ChannelModel(TurbulenceParams(40.0, 1.0, 1.0))
+        assert mean_exp_neg(0.5, m) == pytest.approx(0.6685032148568477, rel=1e-12)
+        assert mean_exp_neg(50.0, m) == pytest.approx(0.0200901060712569, rel=1e-12)
 
     def test_mean_exp_neg_endpoints(self, models):
         m = models["weak_pe"]
