@@ -24,12 +24,13 @@ from .channel import (
     mean_exp_neg,
     mean_inv_above,
     moment,
+    _law_at,
     _log_excess,
     _mean_inv_irradiance,
     _mean_log_irradiance,
 )
-# digamma and ln_gamma are unused here; the benchmark's trace tests expect
-# these bindings
+# digamma, ln_gamma and mean_inv_above are unused here; the benchmark's
+# trace tests expect these bindings
 from .specfun import SeriesConfig, digamma, ln_gamma
 
 __all__ = [
@@ -106,8 +107,9 @@ class SnrSpec:
 class AdaptiveSolution:
     """Solved cutoff with the resulting spectral efficiency and diagnostics.
 
-    iterations counts the distinct evaluations of the constraint that the
-    solve made, bracket search and brentq together.
+    iterations counts the evaluations of the constraint that the solve
+    made, each at a distinct point: any walk to a start and every Newton
+    step.
     """
 
     cutoff: float
@@ -213,12 +215,9 @@ def _bracket_and_solve(fun, lo: float, hi: float):
     return root, fun(root), fun.cache_info().currsize
 
 
-def _cutoff_solution(fun, lo: float, hi: float) -> AdaptiveSolution:
-    """Cutoff at the root of a power constraint fun(x), x = 1/cutoff; ASE left NaN."""
-    x, res, evals = _bracket_and_solve(fun, lo, hi)
-    return AdaptiveSolution(
-        cutoff=1.0 / x, ase_bits=math.nan, constraint_residual=-res, iterations=evals
-    )
+# why a cutoff solve gave up after its 200 evaluations
+_NO_UPPER_END = "no upper bracket found for the cutoff"
+_NO_CONVERGENCE = "Newton cutoff solve did not converge in 200 evaluations"
 
 
 def solve_cutoff_continuous(
@@ -226,17 +225,32 @@ def solve_cutoff_continuous(
 ) -> AdaptiveSolution:
     """Cutoff irradiance of the water-filling policy at the given average SNR.
 
-    Solves E[(1/cutoff - 1/I)^+] = k_margin * SNR in x = 1/cutoff, where
-    the left side is convex and increasing with slope 1 - F(1/x) in
-    [0, 1], so the root is unique.  The left side lies between
-    x - E[1/I] and x, which brackets the root in [t, t + E[1/I]] with
-    t = k_margin * SNR; when E[1/I] is infinite the search walks up from 2t.
+    Solves h(x) = E[(x - 1/I)^+] = t, t = k_margin * SNR, in x = 1/cutoff
+    by Newton's method.  h is convex and increasing with slope 1 - F(1/x)
+    in [0, 1], and lies between x - E[1/I] and x, so h(t + E[1/I]) >= t
+    and Newton from there falls monotonically onto the unique root; when
+    E[1/I] is infinite the start walks up from 2t until h >= t.  Each step
+    takes h and its slope from one pass over the law, and the solve stops
+    once a step is at most 1e-14 x or not positive.
     """
     t = policy.k_margin * snr.snr_linear
-    hi = t + _mean_inv_irradiance(m)
-    return _cutoff_solution(
-        lambda x: t - mean_excess_inv(1.0 / x, m), t, hi if math.isfinite(hi) else 2.0 * t
-    )
+    x = t + _mean_inv_irradiance(m)
+    walk = not math.isfinite(x)
+    x = 2.0 * t if walk else x
+    for evals in range(1, 201):
+        c = 1.0 / x
+        sf, inv = _law_at(np.array([c]), m, "sf", "inv")[:, 0].tolist()
+        h = sf / c - inv
+        walk = walk and h < t
+        if walk:
+            x *= 2.0
+        elif h - t > 1e-14 * x * sf:
+            x -= (h - t) / sf
+        else:
+            return AdaptiveSolution(
+                cutoff=c, ase_bits=math.nan, constraint_residual=h - t, iterations=evals
+            )
+    raise SolverBracketError(_NO_UPPER_END if walk else _NO_CONVERGENCE)
 
 
 def ase_series(cutoff: float, m: ChannelModel, cfg: SeriesConfig | None = None) -> float:
@@ -292,11 +306,15 @@ def discrete_power(i: float, region_m: int, policy: BerPolicy) -> float:
     return spend / (policy.k_margin * i)
 
 
-def _discrete_constraint(cutoff_star, snr, policy, m, cset):
-    # summed by parts, each boundary's tail E[1/I; I >= edge] enters once,
-    # and all of them come from one call
-    tails = mean_inv_above(cset.bounds(cutoff_star), m)
-    return float(np.diff(cset.spend) @ tails) - policy.k_margin * snr.snr_linear
+def _discrete_constraint(cutoff: float, m: ChannelModel, cset: ConstellationSet):
+    """Power P the ladder spends at the cutoff, and x dP/dx in x = 1/cutoff, from one pass.
+
+    Summed by parts, each edge's tail E[1/I; I >= edge] enters P once with
+    its step in spend; each tail grows in x at the rate f(edge)/x.
+    """
+    inv, pdf = _law_at(cset.bounds(cutoff), m, "inv", "pdf")
+    steps = cset.spend[1:] - cset.spend[:-1]
+    return float(steps @ inv), float(steps @ pdf)
 
 
 def solve_cutoff_discrete(
@@ -310,6 +328,17 @@ def solve_cutoff_discrete(
     The constraint's power stays below (M_max - 1) E[1/I], which the
     ladder spends as its cutoff falls to 0; at or above the SNR that
     takes, there is no root and SolverBracketError is raised at once.
+    Below it, P(x) = t, t = k_margin * SNR, is solved by Newton's method
+    on ln P in ln x, x = 1/cutoff.  A rung of size M is active only where
+    I >= M/x, and spends (M - 1)/I < x there, so with M_1 the smallest
+    size, P(x) < x P(I >= M_1/x) <= E[I^n] x^(n+1) / M_1^n by Markov's
+    inequality.  P < t thus holds at x = t and at
+    x = (M_1^n t/E[I^n])^(1/(n+1)); the largest of those for n = 0, 1, 2
+    is the lower end of the bracket that every evaluation narrows, and
+    Newton starts at twice it.  A step that leaves the bracket goes to 4
+    times its lower end while it has no upper one, and to the geometric
+    mean of its ends once it has.  The solve stops once a step is at most
+    1e-14 x or the bracket is narrower than 4e-14 of its lower end.
     """
     cset = cset or ConstellationSet()
     saturation = cset.spend[-1] * _mean_inv_irradiance(m)
@@ -319,12 +348,24 @@ def solve_cutoff_discrete(
             f"the ladder saturates at {sat_db:.2f} dB; "
             f"no cutoff spends {snr.snr_db:.2f} dB"
         )
-    # each active rung spends (M - 1)/I < 1/cutoff, so the constraint is
-    # negative at x = 1/cutoff = t, and rises with x from there
     t = policy.k_margin * snr.snr_linear
-    return _cutoff_solution(
-        lambda x: -_discrete_constraint(1.0 / x, snr, policy, m, cset), t, 2.0 * t
-    )
+    m1 = cset.sizes[1]
+    lo = max(t, math.sqrt(m1 * t / moment(1, m)), (m1 * m1 * t / moment(2, m)) ** (1.0 / 3.0))
+    hi, x = math.inf, 2.0 * lo
+    for evals in range(1, 201):
+        p, slope = _discrete_constraint(1.0 / x, m, cset)
+        lo, hi = (x, hi) if p < t else (lo, x)
+        step = math.nan  # P and its slope are 0 only past the law's support
+        if p > 0.0 and slope > 0.0:
+            # Newton on ln P - ln t in ln x, its exponent capped below overflow
+            step = x * math.expm1(min(math.log(t / p) * p / slope, 700.0))
+        if abs(step) <= 1e-14 * x or hi - lo <= 4e-14 * lo:
+            return AdaptiveSolution(
+                cutoff=1.0 / x, ase_bits=math.nan, constraint_residual=p - t, iterations=evals
+            )
+        in_bracket = lo < x + step < hi
+        x = x + step if in_bracket else 4.0 * lo if hi == math.inf else math.sqrt(lo * hi)
+    raise SolverBracketError(_NO_UPPER_END if hi == math.inf else _NO_CONVERGENCE)
 
 
 def discrete_ase(

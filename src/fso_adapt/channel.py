@@ -16,7 +16,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import special
@@ -334,7 +333,10 @@ def _series_table(m: ChannelModel, max_terms: int):
     xi2 = m.xi2
     x = np.array([m.alpha, m.beta])
     xb = x[::-1]
-    s = np.sin(np.pi * (x - xb))
+    # sin(pi d) as (-1)^n sin(pi (d - n)), n = round(d): near an integer d
+    # the rounding of pi d would be a large share of the sine
+    n = np.round(x - xb)
+    s = np.where(n % 2, -1.0, 1.0) * np.sin(np.pi * (x - xb - n))
     if np.any(np.abs(s) < 1e-300):
         raise SingularOrderError("alpha - beta too close to an integer; perturb beta")
     k = np.arange(max_terms, dtype=float)[:, None]
@@ -364,8 +366,23 @@ def _series_table(m: ChannelModel, max_terms: int):
     return (*table, e_neg, rows == max_terms)
 
 
-def _residue_series(c, m: ChannelModel, cfg: SeriesConfig, order: int, shift: float = 0.0):
-    """Residue series of the composite law at each cutoff c in (0, A0].
+@functools.lru_cache(maxsize=256)
+def _series_scale(m: ChannelModel, max_terms: int, orders: tuple, shifts: tuple):
+    """The residue table's coefficients over (p + shift)^order, and (xi2 + shift)^order.
+
+    One of each per (order, shift) pair, stacked as read-only (pairs, K, 2)
+    and (pairs, 1) arrays, built once per (model, max_terms, pairs).
+    """
+    p, coeff = _series_table(m, max_terms)[:2]
+    scale = np.array([coeff / (p + s) ** o for o, s in zip(orders, shifts)])
+    pole = np.array([[(m.xi2 + s) ** o] for o, s in zip(orders, shifts)])
+    for v in (scale, pole):
+        v.setflags(write=False)
+    return scale, pole
+
+
+def _residue_series(c, m: ChannelModel, cfg: SeriesConfig, orders: tuple, shifts: tuple):
+    """Residue series of the composite law at cutoffs c in (0, A0], one per (order, shift).
 
     The Mellin transform of I = I_a I_p is the gamma-gamma transform times
     the misalignment factor xi2/(xi2+s), so every closed form is one sum
@@ -378,23 +395,26 @@ def _residue_series(c, m: ChannelModel, cfg: SeriesConfig, order: int, shift: fl
     density, order 1 the distribution and order 2 the log-moment part of
     E[(ln(I/c))^+]; order 1 at shift s is c^-s E[I^s; I < c].  Each sum
     stops at the first k > 0 whose terms fall below convergence_tol of
-    it, or at max_terms.  Returns (value, tail, peak) arrays shaped as c:
-    the value, the magnitude of the last term kept (0 once the sum has
-    converged) and the largest term, for _series_accepts.  A value that
-    is not finite, or whose sum runs into the row the table was cut at,
-    comes back as NaN.
+    it, or at max_terms.  The pairs share the exp of their terms.  Returns
+    (value, tail, peak), each shaped (pairs, *c.shape): the value, the
+    magnitude of the last term kept (0 once the sum has converged) and the
+    largest term, for _series_accepts.  A value that is not finite, or
+    whose sum runs into the row the table was cut at, comes back as NaN.
     """
-    p, coeff, ln_g, e_neg, complete = _series_table(m, cfg.max_terms)
+    p, _, ln_g, e_neg, complete = _series_table(m, cfg.max_terms)
+    scale, pole_scale = _series_scale(m, cfg.max_terms, orders, shifts)
     xi2 = m.xi2
     c = np.asarray(c, dtype=float)
+    shape = (len(orders), *c.shape)
     ln_u = np.log(c.reshape(-1) / m.a0)
-    idx = np.arange(len(ln_u))
-    k = np.arange(len(p))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        terms = coeff / (p + shift) ** order * np.exp(ln_g + p * ln_u[:, None, None])
+        # rows are (series, cutoff) pairs
+        terms = (scale[:, None] * np.exp(ln_g + p * ln_u[:, None, None])).reshape(-1, *p.shape)
+        idx = np.arange(len(terms))
         mag = np.abs(terms).max(axis=-1)
         sums = terms.sum(axis=-1).cumsum(axis=-1)
-        done = (k > 0) & (mag < cfg.convergence_tol * np.abs(sums))
+        done = mag < cfg.convergence_tol * np.abs(sums)
+        done[:, 0] = False  # no sum stops at k = 0
         stopped = done.any(axis=-1)
         last = np.where(stopped, done.argmax(axis=-1), len(p) - 1)
         val = sums[idx, last]
@@ -402,7 +422,7 @@ def _residue_series(c, m: ChannelModel, cfg: SeriesConfig, order: int, shift: fl
         peak = np.maximum.accumulate(mag, axis=-1)[idx, last]
         # without pointing xi2 = inf and the misalignment pole is absent
         if m.pointing is not None:
-            pole = e_neg * np.exp(xi2 * ln_u) * xi2 / (xi2 + shift) ** order
+            pole = (e_neg * np.exp(xi2 * ln_u) * xi2 / pole_scale).reshape(-1)
             val = val + pole
             if not complete:
                 # near a double pole, this one's partner is the row the
@@ -411,7 +431,7 @@ def _residue_series(c, m: ChannelModel, cfg: SeriesConfig, order: int, shift: fl
                 val[~stopped] = np.nan
                 tail = np.maximum(tail, np.abs(pole))
     val = np.where(np.isfinite(val), val, np.nan)
-    return val.reshape(c.shape), tail.reshape(c.shape), peak.reshape(c.shape)
+    return val.reshape(shape), tail.reshape(shape), peak.reshape(shape)
 
 
 def _series_accepts(val, tail, peak, tol: float):
@@ -453,8 +473,8 @@ def _laguerre(n: int):
     return rule
 
 
-def _tail_rule(lo: np.ndarray, m: ChannelModel, j: int, e=None, layered=False):
-    """int_lo^inf f_a(t) t^-j h(t) dt at each lo, by Gauss-Laguerre.
+def _tail_rule(lo: np.ndarray, m: ChannelModel, specs, need: np.ndarray) -> np.ndarray:
+    """int_lo^inf f_a(t) t^-j h(t) dt at each lo, by Gauss-Laguerre, for each spec (j, e, layered).
 
     h is 1 for e = None.  Otherwise it is (lo/t)^e if layered, else
     (1 - (lo/t)^e)/e, whose e = 0 limit is ln(t/lo).  The substitution
@@ -464,63 +484,83 @@ def _tail_rule(lo: np.ndarray, m: ChannelModel, j: int, e=None, layered=False):
     the layered term is integrated in v = e ln(t/lo) instead, where it is
     the weight e^(-v).  A tail from beyond z = _Z_NIL is 0: lo is capped
     there, which also keeps an infinite lo out of the arithmetic.
+
+    The specs share the nodes and the density on them.  need, a
+    (specs, lo) mask, names the lo each spec is asked for: its node count
+    follows those alone, so its value there is the one a call with only
+    them gives.  Returns a (specs, lo) array; a value not asked for may
+    be NaN.
     """
     lo = np.minimum(lo, _Z_NIL**2 / (4.0 * m.alpha * m.beta))
-    w, weights = _laguerre(_NODES_ABOVE_A0 if lo.min() >= 1.0 else _NODES_BELOW_A0)
     sab = math.sqrt(m.alpha * m.beta)
-    root = np.sqrt(lo)[:, None] + w / (2.0 * sab)
-    t = root * root
-    # f_a(t) dt = e^(-w) [f_a(t) e^w sqrt(t)/sqrt(ab)] dw
-    ft = weights * np.exp(_gg_ln_pdf(t, m.turbulence) + w) * root / sab
-    if j:
-        ft = ft / t
-    if e is None:
-        return ft.sum(axis=-1)
-    out = np.empty(len(lo))
-    narrow = e > np.sqrt(m.alpha * m.beta * lo)
-    wide = ~narrow
-    if wide.any():
-        ln_u = np.log(lo[wide])[:, None] - np.log(t[wide])
-        if layered:
-            h = np.exp(e * ln_u)
-        else:
-            h = -np.expm1(e * ln_u) / e if e else -ln_u
-        out[wide] = (ft[wide] * h).sum(axis=-1)
-    if narrow.any():
-        # past z - z0 = 800 the density is nil, and kve fails far beyond
-        cap = 2.0 * np.log(np.sqrt(lo[narrow]) + 400.0 / sab)[:, None]
-        ln_t = np.minimum(np.log(lo[narrow])[:, None] + w / e, cap)
-        # (lo/t)^e f_a(t) dt = e^(-v) [f_a(t) t/e] dv
-        ln_f = _gg_ln_pdf(np.exp(ln_t), m.turbulence) + (1 - j) * ln_t - math.log(e)
-        layer = (weights * np.exp(ln_f)).sum(axis=-1)
-        out[narrow] = layer if layered else (ft[narrow].sum(axis=-1) - layer) / e
+    out = np.full((len(specs), len(lo)), np.nan)
+    # the least lo each spec is asked for; inf for none
+    low = np.where(need, lo, np.inf).min(axis=1)
+    nodes = {}
+    for i, (j, e, layered) in enumerate(specs):
+        if low[i] == np.inf:
+            continue
+        n = _NODES_ABOVE_A0 if low[i] >= 1.0 else _NODES_BELOW_A0
+        if n not in nodes:
+            w, weights = _laguerre(n)
+            root = np.sqrt(lo)[:, None] + w / (2.0 * sab)
+            t = root * root
+            # f_a(t) dt = e^(-w) [f_a(t) e^w sqrt(t)/sqrt(ab)] dw
+            ft = weights * np.exp(_gg_ln_pdf(t, m.turbulence) + w) * root / sab
+            nodes[n] = [w, weights, t, ft, None]
+        w, weights, t, ft, ln_lo_t = nodes[n]
+        if j:
+            ft = ft / t
+        if e is None:
+            out[i] = ft.sum(axis=-1)
+            continue
+        narrow = need[i] & (e > np.sqrt(m.alpha * m.beta * lo))
+        wide = need[i] > narrow
+        if wide.any():
+            if ln_lo_t is None:
+                ln_lo_t = nodes[n][4] = np.log(lo)[:, None] - np.log(t)
+            ln_u = ln_lo_t[wide]
+            if layered:
+                h = np.exp(e * ln_u)
+            else:
+                h = -np.expm1(e * ln_u) / e if e else -ln_u
+            out[i][wide] = (ft[wide] * h).sum(axis=-1)
+        if narrow.any():
+            # past z - z0 = 800 the density is nil, and kve fails far beyond
+            cap = 2.0 * np.log(np.sqrt(lo[narrow]) + 400.0 / sab)[:, None]
+            ln_t = np.minimum(np.log(lo[narrow])[:, None] + w / e, cap)
+            # (lo/t)^e f_a(t) dt = e^(-v) [f_a(t) t/e] dv
+            ln_f = _gg_ln_pdf(np.exp(ln_t), m.turbulence) + (1 - j) * ln_t - math.log(e)
+            layer = (weights * np.exp(ln_f)).sum(axis=-1)
+            out[i][narrow] = layer if layered else (ft[narrow].sum(axis=-1) - layer) / e
     return out
 
 
-def _rule_tail(c: np.ndarray, m: ChannelModel, j: int) -> np.ndarray:
-    """E[I^-j; I >= c] by the tail rule: 1 - F(c) for j = 0, E[1/I; I >= c] for j = 1."""
-    if m.pointing is None:
-        return _tail_rule(c, m, j)
-    return m.xi2 / m.a0**j * _tail_rule(c / m.a0, m, j, m.xi2 - j)
+def _series_or_rule(c: np.ndarray, m: ChannelModel, series, rule, k: int) -> np.ndarray:
+    """k functionals at cutoffs c > 0, each by its residue series where trusted, else the tail rule.
 
-
-def _series_or_rule(c: np.ndarray, m: ChannelModel, series, rule) -> np.ndarray:
-    """A functional at cutoffs c > 0: the residue series where it is trusted, else the tail rule.
-
-    series(cb) returns (value, accepted) at the cutoffs cb <= A0; rule
-    takes the rest, and all of them when the series is singular.
+    series(c) returns (values, accepted), (k, c) arrays; it is called
+    on all the cutoffs once any is at most A0, and its values past A0 are
+    dropped.  Each cutoff's sum is its own, so the cutoffs beside it do
+    not change its value.  The rule runs once, as
+    rule(cr, need), at the cutoffs cr that any functional leaves to it:
+    those past A0, those its guard declined, and all of them when the
+    series is singular; need, a (k, cr) mask, says which functional needs
+    which.  Returns a (k, c) array.
     """
-    todo = c > m.a0
-    out = np.empty(c.shape)
-    below = ~todo
+    below = c <= m.a0
+    out, taken = np.empty((k, len(c))), np.zeros((k, len(c)), dtype=bool)
     if below.any():
         try:
-            out[below], ok = series(c[below])
-            todo[below] = ~ok
+            out, ok = series(c)
+            taken = ok & below
         except SingularOrderError:
-            todo[:] = True
+            pass
+    todo = ~taken
     if todo.any():
-        out[todo] = rule(c[todo])
+        rows = todo.any(axis=0)
+        need = todo[:, rows]
+        out[todo] = rule(c[rows], need)[need]
     return out
 
 
@@ -549,60 +589,91 @@ _SERIES_TOL = 1e-12
 _SERIES = SeriesConfig()
 
 
+# per functional of _law_at: the (order, shift) of its residue series and
+# the power j of 1/t in its tail rule
+_LAW = {"cdf": (1, 0.0, 0), "sf": (1, 0.0, 0), "inv": (1, -1.0, 1), "pdf": (0, 0.0, 0)}
+
+
+def _law_at(c: np.ndarray, m: ChannelModel, *names, cfg: SeriesConfig = _SERIES) -> np.ndarray:
+    """The named functionals of the composite law at cutoffs c > 0, as a (names, c) array.
+
+    "cdf" is F(c), "sf" 1 - F(c), "inv" E[1/I; I >= c] and "pdf" the
+    density.  Their series share one exp of the terms and their tail
+    rules one set of nodes, but each takes its series only where its own
+    guard accepts it, so each value is the one it has when asked alone.
+    1 - F is taken from the series only where F is good to _SERIES_TOL
+    too.  E[1/I; I >= c] is E[1/I] - E[1/I; I < c] below A0, the series
+    at shift -1 taken from the inverse moment, continued where it
+    diverges; both terms have a pole at a, b or xi2 = 1, within
+    singularity_eps of which the tail rule takes it.  Without pointing
+    the density is its exact Bessel closed form, which takes no route.
+    """
+    a0, xi2, pe = m.a0, m.xi2, m.pointing is not None
+    inv_ok = min(abs(v - 1.0) for v in (m.alpha, m.beta, xi2)) >= SeriesConfig.singularity_eps
+    inv_mean = _inv_moment(m) if inv_ok else math.nan
+    # without pointing the density is its Bessel closed form, set below
+    routed = tuple(n for n in names if pe or n != "pdf")
+    # with pointing, the tail rules of 1 - F and E[1/I; I >= c] average
+    # over the misalignment factor in closed form, and the density's is
+    # layered
+    specs = [(_LAW[n][2], xi2 - _LAW[n][2] if pe else None, n == "pdf") for n in routed]
+
+    def series(c):
+        val, tail, peak = _residue_series(c, m, cfg, *zip(*(_LAW[n][:2] for n in routed)))
+        ok = np.empty(val.shape, dtype=bool)
+        for i, n in enumerate(routed):
+            v, tl, pk = val[i], tail[i], peak[i]
+            if n == "sf":
+                ok[i] = _series_accepts(np.minimum(v, 1.0 - v), tl, pk, _SERIES_TOL)
+                val[i] = 1.0 - v
+            elif n == "inv":
+                val[i] = inv_mean - v / c
+                pk = np.maximum(pk / c, abs(inv_mean))
+                ok[i] = inv_ok & _series_accepts(val[i], tl / c, pk, _SERIES_TOL)
+            elif n == "cdf":
+                ok[i] = _series_accepts(v, tl, pk, _SERIES_TOL)
+            else:
+                ok[i] = _series_accepts(v / c, tl / c, pk / c, _SERIES_TOL)
+                val[i] = np.maximum(v / c, 0.0)
+        return val, ok
+
+    def rule(c, need):
+        out = _tail_rule(c / a0, m, specs, need)
+        scale = xi2 if pe else 1.0
+        for i, n in enumerate(routed):
+            out[i] *= scale / c if n == "pdf" else scale / a0 if n == "inv" else scale
+            if n == "cdf":
+                out[i] = 1.0 - out[i]
+        return out
+
+    out = _series_or_rule(c, m, series, rule, len(routed)) if routed else np.empty((0, len(c)))
+    if len(routed) < len(names):
+        i = names.index("pdf")
+        out = np.concatenate([out[:i], np.exp(_gg_ln_pdf(c, m.turbulence))[None], out[i:]])
+    return out
+
+
 def composite_pdf(i, m: ChannelModel, cfg: SeriesConfig | None = None):
     """Density of the composite irradiance I, at a scalar or an array of points."""
-    cfg = cfg or SeriesConfig()
     arr = np.asarray(i, dtype=float)
     if not np.all(arr >= 0):
         raise ValueError(f"i must be >= 0, got {i}")
     x = arr.reshape(-1)
     out = np.zeros(x.shape)
     pos = x > 0.0
-    if m.pointing is None:
-        # the gamma-gamma density has an exact Bessel closed form
-        out[pos] = np.exp(_gg_ln_pdf(x[pos], m.turbulence))
-        return _shaped(out, arr.shape)
-    a0, xi2 = m.a0, m.xi2
-
-    def series(c):
-        val, tail, peak = _residue_series(c, m, cfg, 0)
-        return np.maximum(val / c, 0.0), _series_accepts(val / c, tail / c, peak / c, _SERIES_TOL)
-
-    rule = lambda c: xi2 / c * _tail_rule(c / a0, m, 0, xi2, layered=True)
-    out[pos] = _series_or_rule(x[pos], m, series, rule)
+    out[pos] = _law_at(x[pos], m, "pdf", cfg=cfg or SeriesConfig())[0]
     return _shaped(out, arr.shape)
-
-
-def _survival(c: np.ndarray, m: ChannelModel, cfg: SeriesConfig) -> np.ndarray:
-    """1 - F(c) at cutoffs c > 0.
-
-    The series' guard takes it only if both F and 1 - F are good to
-    _SERIES_TOL: the power constraint uses the complement.
-    """
-
-    def series(c):
-        val, tail, peak = _residue_series(c, m, cfg, 1)
-        return 1.0 - val, _series_accepts(np.minimum(val, 1.0 - val), tail, peak, _SERIES_TOL)
-
-    return _series_or_rule(c, m, series, partial(_rule_tail, m=m, j=0))
 
 
 def composite_cdf(i, m: ChannelModel, cfg: SeriesConfig | None = None):
     """Distribution function of the composite irradiance I, at a scalar or an array of points."""
-    cfg = cfg or SeriesConfig()
     arr = np.asarray(i, dtype=float)
     if np.isnan(arr).any():
         raise ValueError(f"i must not be NaN, got {i}")
     x = arr.reshape(-1)
     out = np.zeros(x.shape)
     pos = x > 0.0
-
-    def series(c):
-        val, tail, peak = _residue_series(c, m, cfg, 1)
-        return val, _series_accepts(val, tail, peak, _SERIES_TOL)
-
-    rule = lambda c: 1.0 - _rule_tail(c, m, 0)
-    out[pos] = np.clip(_series_or_rule(x[pos], m, series, rule), 0.0, 1.0)
+    out[pos] = np.clip(_law_at(x[pos], m, "cdf", cfg=cfg or SeriesConfig())[0], 0.0, 1.0)
     return _shaped(out, arr.shape)
 
 
@@ -659,26 +730,9 @@ def sample_irradiance(m: ChannelModel, rng: np.random.Generator, size=None, out=
 
 
 def mean_inv_above(threshold, m: ChannelModel):
-    """E[I^-1 ; I >= threshold], at a scalar or an array of thresholds.
-
-    Below A0 it is E[1/I] - E[1/I; I < c]: the residue series at shift
-    -1 taken from the inverse moment, continued where it diverges.  The
-    series is singular when a, b or xi2 lies within singularity_eps of
-    1, where both terms have a pole.
-    """
+    """E[I^-1 ; I >= threshold], at a scalar or an array of thresholds."""
     c, shape = _cutoffs(threshold, "threshold")
-    eps = SeriesConfig.singularity_eps
-
-    def series(c):
-        if min(abs(m.alpha - 1.0), abs(m.beta - 1.0), abs(m.xi2 - 1.0)) < eps:
-            raise SingularOrderError("E[1/I] has a pole at a, b or xi2 = 1")
-        inv_mean = _inv_moment(m)
-        val, tail, peak = _residue_series(c, m, _SERIES, 1, shift=-1.0)
-        inv = inv_mean - val / c
-        peak = np.maximum(peak / c, abs(inv_mean))
-        return inv, _series_accepts(inv, tail / c, peak, _SERIES_TOL)
-
-    return _shaped(_series_or_rule(c, m, series, partial(_rule_tail, m=m, j=1)), shape)
+    return _shaped(_law_at(c, m, "inv")[0], shape)
 
 
 def mean_excess_inv(cutoff, m: ChannelModel):
@@ -688,7 +742,8 @@ def mean_excess_inv(cutoff, m: ChannelModel):
     cutoffs.
     """
     c, shape = _cutoffs(cutoff, "cutoff")
-    return _shaped(_survival(c, m, _SERIES) / c - mean_inv_above(c, m), shape)
+    sf, inv = _law_at(c, m, "sf", "inv")
+    return _shaped(sf / c - inv, shape)
 
 
 def _log_excess(c: np.ndarray, m: ChannelModel, cfg: SeriesConfig) -> np.ndarray:
@@ -701,15 +756,18 @@ def _log_excess(c: np.ndarray, m: ChannelModel, cfg: SeriesConfig) -> np.ndarray
     """
 
     def series(c):
-        val, tail, peak = _residue_series(c, m, cfg, 2)
+        val, tail, peak = _residue_series(c, m, cfg, (2,), (0.0,))
         nats = _mean_log_irradiance(m) - np.log(c) + val
         return nats, _series_accepts(nats, tail, peak, _SERIES_TOL)
 
-    def rule(c):
-        nats = _tail_rule(c / m.a0, m, 0, 0.0)
-        return nats if m.pointing is None else nats - _tail_rule(c / m.a0, m, 0, m.xi2)
+    def rule(c, need):
+        if m.pointing is None:
+            return _tail_rule(c / m.a0, m, [(0, 0.0, False)], need)
+        specs = [(0, 0.0, False), (0, m.xi2, False)]
+        nats, pole = _tail_rule(c / m.a0, m, specs, need.repeat(2, axis=0))
+        return (nats - pole)[None]
 
-    return _series_or_rule(c, m, series, rule)
+    return _series_or_rule(c, m, series, rule, 1)[0]
 
 
 def mean_log_excess(cutoff: float, m: ChannelModel) -> float:

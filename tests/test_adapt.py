@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fso_adapt import adapt, channel
 from fso_adapt.adapt import (
@@ -39,7 +40,7 @@ from fso_adapt.channel import (
 from fso_adapt.specfun import SeriesConfig
 
 from conftest import NEAR_POLE_JITTER_M, reference_model
-from oracle import log_excess_tight, tail_tight
+from oracle import excess_inv_tight, log_excess_tight, tail_tight
 
 
 # required-SNR spot references (dB) for a 1e-3 average BER target,
@@ -377,12 +378,11 @@ class TestDiscreteScheme:
 
     def test_constraint_evaluates_each_boundary_once(self, models, policy, monkeypatch):
         m = models["strong_pe"]
-        snr = SnrSpec.from_db(15.0)
         cset = ConstellationSet()
         cutoff = 0.05
         # the constraint as a sum over rungs, each edge evaluated on its own
         sizes = cset.sizes
-        per_rung = -policy.k_margin * snr.snr_linear
+        per_rung = 0.0
         for i in range(1, len(sizes)):
             v = mean_inv_above(sizes[i] * cutoff, m)
             if i + 1 < len(sizes):
@@ -390,16 +390,31 @@ class TestDiscreteScheme:
             per_rung += (sizes[i] - 1.0) * v
         calls = []
 
-        def counting(threshold, model):
-            calls.append(np.asarray(threshold))
-            return mean_inv_above(threshold, model)
+        def counting(c, model, *names):
+            calls.append((np.asarray(c), names))
+            return channel._law_at(c, model, *names)
 
-        monkeypatch.setattr(adapt, "mean_inv_above", counting)
-        val = adapt._discrete_constraint(cutoff, snr, policy, m, cset)
-        # one call carries every boundary
+        monkeypatch.setattr(adapt, "_law_at", counting)
+        val, _ = adapt._discrete_constraint(cutoff, m, cset)
+        # one pass carries every boundary, for the tails and their densities
         assert len(calls) == 1
-        assert len(set(calls[0].tolist())) == calls[0].size == len(sizes) - 1
+        edges, names = calls[0]
+        assert names == ("inv", "pdf")
+        assert len(set(edges.tolist())) == edges.size == len(sizes) - 1
         assert val == pytest.approx(per_rung, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("key", MODEL_KEYS)
+    def test_constraint_slope_matches_difference(self, models, key):
+        # x dP/dx in x = 1/cutoff, the log-slope's numerator, against a
+        # central difference of P itself
+        m = models[key]
+        cset = ConstellationSet()
+        for cutoff in (1e-3, 1e-2, 0.1, 0.5):
+            p, slope = adapt._discrete_constraint(cutoff, m, cset)
+            h = 1e-5
+            up, _ = adapt._discrete_constraint(cutoff / (1.0 + h), m, cset)
+            down, _ = adapt._discrete_constraint(cutoff / (1.0 - h), m, cset)
+            assert slope == pytest.approx((up - down) / (2.0 * h), rel=1e-8, abs=0), cutoff
 
     @pytest.mark.parametrize("key", MODEL_KEYS)
     def test_saturation_fails_fast(self, models, policy, key, monkeypatch):
@@ -453,6 +468,18 @@ class TestRoutes:
                 discrete_ase(snr, policy, m)
         assert calls == []
 
+    def test_sweep_makes_no_brentq_call(self, models, policy, monkeypatch):
+        # both cutoff solves run Newton from their proved starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("brentq called")
+
+        monkeypatch.setattr(adapt, "brentq", refuse)
+        for m in models.values():
+            for db in range(0, 31, 5):
+                snr = SnrSpec.from_db(db)
+                ase_limit(snr, policy, m)
+                discrete_ase(snr, policy, m)
+
 
 class TestNearPoleModels:
     """xi2 - beta = 3 + 4e-16 and 8: the series table is cut at the pole row."""
@@ -491,7 +518,7 @@ class TestCutoffBrackets:
             t = policy.k_margin * snr.snr_linear
             assert mean_excess_inv(1.0 / (t + inv_mean), m) >= t
             assert mean_excess_inv(1.0 / t, m) <= t
-            assert adapt._discrete_constraint(1.0 / t, snr, policy, m, cset) <= 0.0
+            assert adapt._discrete_constraint(1.0 / t, m, cset)[0] <= t
         mean = moment(1, m)
         for s in (0.1, 1.0, 10.0, 100.0, 1000.0):
             assert math.exp(-s * mean) <= mean_exp_neg(s, m) <= inv_mean / s
@@ -499,15 +526,11 @@ class TestCutoffBrackets:
     def test_each_point_evaluated_once(self, models, policy, monkeypatch):
         calls = []
 
-        def counting(fn):
-            def wrapped(c, *args):
-                calls.append(c)
-                return fn(c, *args)
+        def counting(c, *args):
+            calls.append(tuple(np.asarray(c).tolist()))
+            return channel._law_at(c, *args)
 
-            return wrapped
-
-        for name in ("_discrete_constraint", "mean_excess_inv"):
-            monkeypatch.setattr(adapt, name, counting(getattr(adapt, name)))
+        monkeypatch.setattr(adapt, "_law_at", counting)
         total = 0
         for m in models.values():
             for db in range(0, 31, 5):
@@ -517,7 +540,69 @@ class TestCutoffBrackets:
                     sol = solve(snr, policy, m)
                     assert len(set(calls)) == len(calls) == sol.iterations
                     total += len(calls)
-        assert total <= 800
+        assert total <= 450
+
+    def test_newton_evaluation_counts(self, models, policy):
+        # the six reference models from -10 to 40 dB: each solve within 12
+        # evaluations, and the totals well below the bracketing solves'
+        # (1,195 continuous and 1,385 discrete)
+        counts = {solve_cutoff_continuous: [], solve_cutoff_discrete: []}
+        for m in models.values():
+            sat = 1023.0 * channel._mean_inv_irradiance(m)
+            for db in range(-10, 41, 2):
+                snr = SnrSpec.from_db(db)
+                for solve, n in counts.items():
+                    if solve is solve_cutoff_discrete and policy.k_margin * snr.snr_linear >= sat:
+                        continue
+                    n.append(solve(snr, policy, m).iterations)
+        assert max(map(max, counts.values())) <= 12
+        assert sum(counts[solve_cutoff_continuous]) <= 700
+        assert sum(counts[solve_cutoff_discrete]) <= 900
+
+    @pytest.mark.parametrize(
+        "solve,ratio,cause",
+        [
+            (solve_cutoff_continuous, 2.0, "did not converge"),
+            (solve_cutoff_discrete, 2.0, "did not converge"),
+            (solve_cutoff_discrete, 0.5, "no upper bracket"),
+        ],
+    )
+    def test_newton_cap_names_its_cause(self, models, policy, monkeypatch, solve, ratio, cause):
+        # on a law where each Newton step moves x = 1/cutoff by 0.1%, the
+        # solve uses up its 200 evaluations; the error says whether the
+        # discrete bracket ever found an upper end
+        snr = SnrSpec.from_db(10.0)
+        t = policy.k_margin * snr.snr_linear
+        cset = ConstellationSet()
+        spent = cset.spend[-1] - cset.spend[0]
+
+        def creeping(c, m, *names):
+            x = 1.0 / c
+            if names == ("sf", "inv"):
+                # h = x - inv = t + 1e-3 x, with slope 1
+                return np.array([np.ones_like(x), x - t - 1e-3 * x])
+            # P = ratio t, with d ln P / d ln x = 1e3 |ln ratio|
+            inv = np.full_like(x, ratio * t / spent)
+            return np.array([inv, inv * 1e3 * abs(math.log(ratio))])
+
+        monkeypatch.setattr(adapt, "_law_at", creeping)
+        with pytest.raises(SolverBracketError, match=cause):
+            solve(snr, policy, models["moderate_pe"])
+
+    def test_pointing_just_past_xi2_one(self, policy):
+        # xi2 = 1.00047: here the tail rule's 1 - F is 9e-9 off, and only
+        # the series, which its own guard accepts, meets the oracle
+        m = reference_model(0.6673, jitter_m=0.018824260236064424)
+        assert m.xi2 == pytest.approx(1.00047, abs=1e-12)
+        snr = SnrSpec.from_db(39.51)
+        t = policy.k_margin * snr.snr_linear
+        sol = solve_cutoff_continuous(snr, policy, m)
+        x = 1.0 / sol.cutoff
+        root = brentq(
+            lambda y: excess_inv_tight(1.0 / y, m) - t,
+            x * (1.0 - 1e-10), x * (1.0 + 1e-10), xtol=1e-300, rtol=1e-15,
+        )
+        assert x == pytest.approx(root, rel=1e-12)
 
 
 class TestRequiredSnr:

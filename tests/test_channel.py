@@ -14,6 +14,7 @@ from fso_adapt.channel import (
     TurbulenceParams,
     Variant,
     _gg_mellin,
+    _law_at,
     _log_excess,
     beam_waist_at_rx,
     composite_cdf,
@@ -694,3 +695,63 @@ def test_near_pole_functionals_match_oracles(jitter_m, u):
     assert mean_excess_inv(c, m) == pytest.approx(excess_inv_tight(c, m), rel=1e-11)
     log_excess = _log_excess(np.array([c]), m, SeriesConfig())[0]
     assert log_excess == pytest.approx(log_excess_tight(c, m), rel=1e-12)
+
+
+# xi2 = 1.00047 at sigma_R^2 = 0.6673: with the misalignment pole that
+# close to 1, routing 1 - F with E[1/I; I >= c] would put it on the tail
+# rule at the 39.51 dB cutoff, 9e-9 off
+XI2_JUST_ABOVE_ONE_JITTER_M = 0.018824260236064424
+LAW_NAMES = ("cdf", "sf", "inv", "pdf")
+
+
+class TestSharedPass:
+    @pytest.mark.parametrize(
+        "key", ["weak_gg", "weak_pe", "moderate_gg", "moderate_pe", "strong_gg", "strong_pe",
+                "near_pole_0", "near_pole_1", "xi2_just_above_one"],
+    )
+    def test_each_functional_as_if_alone(self, models, key):
+        if key in models:
+            m = models[key]
+        elif key == "xi2_just_above_one":
+            m = reference_model(0.6673, jitter_m=XI2_JUST_ABOVE_ONE_JITTER_M)
+        else:
+            m = reference_model(1.0, jitter_m=NEAR_POLE_JITTER_M[int(key[-1])])
+        # cutoffs from deep in the series to past A0, one at a time and
+        # together, and the ladder's five edges at cutoffs up to A0
+        grid = np.geomspace(1e-6, 30.0, 49) * m.a0
+        ladder = np.array([4.0, 16.0, 64.0, 256.0, 1024.0])
+        for c in [grid, *grid[:, None], *(ladder * u for u in np.geomspace(1e-5, 1.0, 11) * m.a0)]:
+            alone = {n: _law_at(c, m, n)[0] for n in LAW_NAMES}
+            np.testing.assert_array_equal(np.clip(alone["cdf"], 0.0, 1.0), composite_cdf(c, m))
+            np.testing.assert_array_equal(alone["inv"], mean_inv_above(c, m))
+            np.testing.assert_array_equal(alone["pdf"], composite_pdf(c, m))
+            np.testing.assert_array_equal(alone["sf"] / c - alone["inv"], mean_excess_inv(c, m))
+            for names in (LAW_NAMES, ("sf", "inv"), ("inv", "pdf")):
+                for name, val in zip(names, _law_at(c, m, *names)):
+                    np.testing.assert_array_equal(val, alone[name], err_msg=f"{name} of {names}")
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-5])
+@pytest.mark.parametrize("pointing", [False, True])
+@pytest.mark.parametrize("delta", [-1e-7, -1e-9, 1e-9, 1e-7])
+def test_shape_gap_next_to_an_integer(delta, pointing, c):
+    # alpha - beta lies within 5e-8 of 2: the series' cosecant is taken of
+    # the distance to the integer, not of pi (alpha - beta) with its
+    # rounding of 4e-16.  From c = 1e-4 the tail rule's 1 - (1 - F) of a
+    # small F is off by up to 8.8e-6.
+    m = reference_model(1.3490433908855886 + delta, pointing)
+    assert composite_cdf(c, m) == pytest.approx(cdf_tight(c, m), rel=1e-12, abs=0)
+    assert mean_inv_above(c, m) == pytest.approx(inv_above_tight(c, m), rel=1e-12, abs=0)
+    log_excess = _log_excess(np.array([c]), m, SeriesConfig())[0]
+    assert log_excess == pytest.approx(log_excess_tight(c, m), rel=1e-12, abs=0)
+    if pointing:
+        assert composite_pdf(c, m) == pytest.approx(pdf_tight(c, m), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("alpha,beta", [(4.0 + 1e-9, 2.0), (4.5, 2.5 - 1e-7), (3.0 + 1e-5, 1.0)])
+@pytest.mark.parametrize("s", [1e5, 1e6])
+def test_laplace_series_next_to_an_integer_shape_gap(alpha, beta, s):
+    # where the series in 1/(s A0) takes the transform, its coefficients
+    # share the cosecant of alpha - beta
+    m = ChannelModel(TurbulenceParams(alpha=alpha, beta=beta, rytov_var=1.0))
+    assert mean_exp_neg(s, m) == pytest.approx(laplace_tight(s, m), rel=1e-12, abs=0)

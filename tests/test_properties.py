@@ -9,16 +9,20 @@ from scipy.special import kv
 from fso_adapt.adapt import (
     LN2,
     BerPolicy,
+    ConstellationSet,
     SnrSpec,
     SolverBracketError,
     ase_limit,
     ase_series,
     discrete_ase,
+    solve_cutoff_continuous,
+    solve_cutoff_discrete,
 )
 from fso_adapt.channel import (
     TurbulenceParams,
     _gg_mellin,
     _inv_moment,
+    _mean_inv_irradiance,
     _residue_series,
     _series_accepts,
     gg_params,
@@ -84,7 +88,7 @@ def test_series_matches_quadrature(sigma_r2, jitter_m, pointing, log_u):
     m = reference_model(sigma_r2, pointing, jitter_m)
     c = (m.pointing.a0 if pointing else 1.0) * math.exp(log_u)
     cfg = SeriesConfig()
-    cdf, tail, peak = _residue_series(c, m, cfg, 1)
+    cdf, tail, peak = (v[0] for v in _residue_series(c, m, cfg, (1,), (0.0,)))
     if _series_accepts(cdf, tail, peak, 1e-7):
         oracle = composite_cdf_quad(c, m)
         assert abs(cdf - oracle) <= 1e-6, (m, c, cdf, oracle)
@@ -208,3 +212,32 @@ def test_ase_limits_ordered_and_rising_in_snr(sigma_r2, jitter_m, pointing):
         disc.append(d)
     for vals in (cont, disc):
         assert all(y >= x for x, y in zip(vals, vals[1:])), (m, vals)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(*model_box, st.floats(-10.0, 60.0))
+def test_cutoff_solves_meet_their_constraints(sigma_r2, jitter_m, pointing, snr_db):
+    """Each Newton cutoff spends the power budget by the tight oracles, within 12 evaluations.
+
+    Past the ladder's saturation SNR the discrete solve raises at once.
+    """
+    m = reference_model(sigma_r2, pointing, jitter_m)
+    policy = BerPolicy(1e-3)
+    snr = SnrSpec.from_db(snr_db)
+    t = policy.k_margin * snr.snr_linear
+    sol = solve_cutoff_continuous(snr, policy, m)
+    assert sol.iterations <= 12, (m, snr_db, sol)
+    assert math.isclose(excess_inv_tight(sol.cutoff, m), t, rel_tol=1e-12), (m, snr_db, sol)
+    cset = ConstellationSet()
+    if t >= cset.spend[-1] * _mean_inv_irradiance(m):
+        try:
+            solve_cutoff_discrete(snr, policy, m, cset)
+        except SolverBracketError as exc:
+            assert "saturates" in str(exc)
+            return
+        raise AssertionError(f"no saturation error at {snr_db} dB for {m}")
+    sol = solve_cutoff_discrete(snr, policy, m, cset)
+    assert sol.iterations <= 12, (m, snr_db, sol)
+    steps = cset.spend[1:] - cset.spend[:-1]
+    spent = sum(s * inv_above_tight(e, m) for s, e in zip(steps, cset.bounds(sol.cutoff)))
+    assert math.isclose(spent, t, rel_tol=1e-12), (m, snr_db, sol, spent)
