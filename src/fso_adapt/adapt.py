@@ -20,12 +20,10 @@ from scipy.optimize import brentq
 from .channel import (
     ChannelModel,
     composite_cdf,
-    mean_excess_inv,
     mean_exp_neg,
     mean_inv_above,
     moment,
     _law_at,
-    _log_excess,
     _mean_inv_irradiance,
     _mean_log_irradiance,
 )
@@ -189,32 +187,6 @@ def optimal_power(i: float, cutoff: float, policy: BerPolicy) -> float:
 # continuous-rate solution
 
 
-def _bracket_and_solve(fun, lo: float, hi: float):
-    """Root of a decreasing function, searched from the guess bracket (lo, hi).
-
-    An end that fails its sign moves by a factor 2 and the other end
-    follows it, so brentq never gets a bracket wider than the guess or a
-    factor 2; the search gives up after 200 moves.  Each trial point is
-    evaluated once.  Returns the root, the residual there and the number
-    of distinct evaluations.
-    """
-    fun = functools.cache(fun)
-    grow = 0
-    while fun(hi) > 0:
-        lo, hi = hi, 2.0 * hi
-        grow += 1
-        if grow > 200:
-            raise SolverBracketError("no upper bracket found for the cutoff")
-    while fun(lo) < 0:
-        lo, hi = 0.5 * lo, lo
-        grow += 1
-        if grow > 200:
-            raise SolverBracketError("no lower bracket found for the cutoff")
-    root = brentq(fun, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
-    # brentq returns a point it has evaluated, so the residual is cached
-    return root, fun(root), fun.cache_info().currsize
-
-
 # why a cutoff solve gave up after its 200 evaluations
 _NO_UPPER_END = "no upper bracket found for the cutoff"
 _NO_CONVERGENCE = "Newton cutoff solve did not converge in 200 evaluations"
@@ -257,7 +229,7 @@ def ase_series(cutoff: float, m: ChannelModel, cfg: SeriesConfig | None = None) 
     """Closed-form spectral-efficiency ceiling E[(log2(I/cutoff))^+], bits/s/Hz."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    return float(_log_excess(np.array([cutoff]), m, cfg or SeriesConfig())[0]) / LN2
+    return float(_law_at(np.array([cutoff]), m, "log", cfg=cfg or SeriesConfig())[0, 0]) / LN2
 
 
 def ase_limit(
@@ -428,20 +400,35 @@ def adaptive_required_snr(
 ) -> SnrSpec:
     """SNR at which the continuous-rate limit reaches the requested efficiency.
 
-    Both the limit and its SNR are explicit in the cutoff: ASE(cutoff) is
-    the closed form and SNR(cutoff) = E[(1/cutoff - 1/I)^+] / k_margin.
-    The ASE falls monotonically in the cutoff, so ASE(cutoff) = target_rb
-    has a single root; it is searched from the guess bracket [A0/4, A0/2],
-    and the SNR is evaluated there once.  Answers outside [-30, 80] dB
-    raise SolverBracketError.
+    Both the limit and its SNR are explicit in the cutoff c: the limit is
+    E[(ln(I/c))^+] / ln 2 and the SNR E[(1/c - 1/I)^+] / k_margin.  In
+    u = ln c the limit in nats is convex and decreasing with slope
+    -(1 - F(c)), and it is at least E[ln I] - u, so it meets the target at
+    u = E[ln I] - target_rb ln 2 or above, and Newton's method from there
+    falls monotonically onto the unique root.  Each step takes the limit,
+    its slope and E[1/I; I >= c] from one pass over the law with the
+    given series settings, and the solve stops once a step is at most
+    1e-14 max(1, |u|); the SNR is that last pass's.  A start that
+    underflows (about 1,075 bits or more), a zero slope, 200 steps
+    without convergence and answers outside [-30, 80] dB raise
+    SolverBracketError.
     """
     if not target_rb > 0:
         raise ValueError(f"target_rb must be > 0, got {target_rb}")
-
-    cutoff, _, _ = _bracket_and_solve(
-        lambda c: ase_series(c, m, cfg) - target_rb, 0.25 * m.a0, 0.5 * m.a0
-    )
-    snr_linear = mean_excess_inv(cutoff, m) / policy.k_margin
-    if not 1e-3 <= snr_linear <= 1e8:  # -30 to 80 dB
-        raise SolverBracketError("adaptive-rate SNR outside [-30, 80] dB")
-    return SnrSpec.from_linear(snr_linear)
+    cfg, target = cfg or SeriesConfig(), target_rb * LN2
+    u = _mean_log_irradiance(m) - target
+    if not math.exp(u) > 0:
+        raise SolverBracketError(f"the cutoff for {target_rb} bits underflows a float")
+    for _ in range(200):
+        c = math.exp(u)
+        nats, sf, inv = _law_at(np.array([c]), m, "log", "sf", "inv", cfg=cfg)[:, 0].tolist()
+        if not (sf > 0.0 and math.isfinite(nats)):
+            raise SolverBracketError(f"no Newton step at the cutoff {c:.6g}: the ASE has no slope")
+        step = (nats - target) / sf
+        if step <= 1e-14 * max(1.0, abs(u)):
+            snr_linear = (sf / c - inv) / policy.k_margin
+            if not 1e-3 <= snr_linear <= 1e8:  # -30 to 80 dB
+                raise SolverBracketError("adaptive-rate SNR outside [-30, 80] dB")
+            return SnrSpec.from_linear(snr_linear)
+        u += step
+    raise SolverBracketError(_NO_CONVERGENCE)

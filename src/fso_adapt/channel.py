@@ -591,22 +591,27 @@ _SERIES = SeriesConfig()
 
 # per functional of _law_at: the (order, shift) of its residue series and
 # the power j of 1/t in its tail rule
-_LAW = {"cdf": (1, 0.0, 0), "sf": (1, 0.0, 0), "inv": (1, -1.0, 1), "pdf": (0, 0.0, 0)}
+_LAW = {"cdf": (1, 0.0, 0), "sf": (1, 0.0, 0), "inv": (1, -1.0, 1), "pdf": (0, 0.0, 0),
+        "log": (2, 0.0, 0)}
 
 
 def _law_at(c: np.ndarray, m: ChannelModel, *names, cfg: SeriesConfig = _SERIES) -> np.ndarray:
     """The named functionals of the composite law at cutoffs c > 0, as a (names, c) array.
 
-    "cdf" is F(c), "sf" 1 - F(c), "inv" E[1/I; I >= c] and "pdf" the
-    density.  Their series share one exp of the terms and their tail
-    rules one set of nodes, but each takes its series only where its own
-    guard accepts it, so each value is the one it has when asked alone.
-    1 - F is taken from the series only where F is good to _SERIES_TOL
-    too.  E[1/I; I >= c] is E[1/I] - E[1/I; I < c] below A0, the series
-    at shift -1 taken from the inverse moment, continued where it
-    diverges; both terms have a pole at a, b or xi2 = 1, within
-    singularity_eps of which the tail rule takes it.  Without pointing
-    the density is its exact Bessel closed form, which takes no route.
+    "cdf" is F(c), "sf" 1 - F(c), "inv" E[1/I; I >= c], "pdf" the
+    density and "log" E[(ln(I/c))^+] in nats, the ASE functional.  Their
+    series share one exp of the terms and their tail rules one set of
+    nodes, but each takes its series only where its own guard accepts
+    it, so each value is the one it has when asked alone.  1 - F is
+    taken from the series only where F is good to _SERIES_TOL too.
+    E[1/I; I >= c] is E[1/I] - E[1/I; I < c] below A0, the series at
+    shift -1 taken from the inverse moment, continued where it diverges;
+    both terms have a pole at a, b or xi2 = 1, within singularity_eps of
+    which the tail rule takes it.  The ASE functional's series is
+    E[ln I] - ln(c) plus the order-2 series, and its tail rule integrates
+    ln(t/lo) less (1 - (lo/t)^xi2)/xi2, its mean over the misalignment
+    factor, integrated as a spec of its own.  Without pointing the
+    density is its exact Bessel closed form, which takes no route.
     """
     a0, xi2, pe = m.a0, m.xi2, m.pointing is not None
     inv_ok = min(abs(v - 1.0) for v in (m.alpha, m.beta, xi2)) >= SeriesConfig.singularity_eps
@@ -615,8 +620,15 @@ def _law_at(c: np.ndarray, m: ChannelModel, *names, cfg: SeriesConfig = _SERIES)
     routed = tuple(n for n in names if pe or n != "pdf")
     # with pointing, the tail rules of 1 - F and E[1/I; I >= c] average
     # over the misalignment factor in closed form, and the density's is
-    # layered
-    specs = [(_LAW[n][2], xi2 - _LAW[n][2] if pe else None, n == "pdf") for n in routed]
+    # layered; the ASE functional's ln(t/lo) is e = 0, and its
+    # misalignment term a last spec
+    specs = [
+        (_LAW[n][2], 0.0 if n == "log" else xi2 - _LAW[n][2] if pe else None, n == "pdf")
+        for n in routed
+    ]
+    log_pole = pe and "log" in routed
+    if log_pole:
+        specs.append((0, xi2, False))
 
     def series(c):
         val, tail, peak = _residue_series(c, m, cfg, *zip(*(_LAW[n][:2] for n in routed)))
@@ -632,19 +644,27 @@ def _law_at(c: np.ndarray, m: ChannelModel, *names, cfg: SeriesConfig = _SERIES)
                 ok[i] = inv_ok & _series_accepts(val[i], tl / c, pk, _SERIES_TOL)
             elif n == "cdf":
                 ok[i] = _series_accepts(v, tl, pk, _SERIES_TOL)
+            elif n == "log":
+                val[i] = _mean_log_irradiance(m) - np.log(c) + v
+                ok[i] = _series_accepts(val[i], tl, pk, _SERIES_TOL)
             else:
                 ok[i] = _series_accepts(v / c, tl / c, pk / c, _SERIES_TOL)
                 val[i] = np.maximum(v / c, 0.0)
         return val, ok
 
     def rule(c, need):
+        if log_pole:
+            need = np.concatenate((need, need[routed.index("log")][None]))
         out = _tail_rule(c / a0, m, specs, need)
         scale = xi2 if pe else 1.0
         for i, n in enumerate(routed):
-            out[i] *= scale / c if n == "pdf" else scale / a0 if n == "inv" else scale
+            if n != "log":
+                out[i] *= scale / c if n == "pdf" else scale / a0 if n == "inv" else scale
+            elif log_pole:
+                out[i] -= out[-1]
             if n == "cdf":
                 out[i] = 1.0 - out[i]
-        return out
+        return out[: len(routed)]
 
     out = _series_or_rule(c, m, series, rule, len(routed)) if routed else np.empty((0, len(c)))
     if len(routed) < len(names):
@@ -744,30 +764,6 @@ def mean_excess_inv(cutoff, m: ChannelModel):
     c, shape = _cutoffs(cutoff, "cutoff")
     sf, inv = _law_at(c, m, "sf", "inv")
     return _shaped(sf / c - inv, shape)
-
-
-def _log_excess(c: np.ndarray, m: ChannelModel, cfg: SeriesConfig) -> np.ndarray:
-    """E[(ln(I/c))^+] in nats at cutoffs c > 0, the ASE functional.
-
-    The series is E[ln I] - ln(c) plus the order-2 residue series of the
-    composite law, misalignment pole included.  The tail rule integrates
-    ln(t/lo) - (1 - (lo/t)^xi2)/xi2, its mean over the misalignment
-    factor, with lo = c/A0 over the gamma-gamma density.
-    """
-
-    def series(c):
-        val, tail, peak = _residue_series(c, m, cfg, (2,), (0.0,))
-        nats = _mean_log_irradiance(m) - np.log(c) + val
-        return nats, _series_accepts(nats, tail, peak, _SERIES_TOL)
-
-    def rule(c, need):
-        if m.pointing is None:
-            return _tail_rule(c / m.a0, m, [(0, 0.0, False)], need)
-        specs = [(0, 0.0, False), (0, m.xi2, False)]
-        nats, pole = _tail_rule(c / m.a0, m, specs, need.repeat(2, axis=0))
-        return (nats - pole)[None]
-
-    return _series_or_rule(c, m, series, rule, 1)[0]
 
 
 def mean_log_excess(cutoff: float, m: ChannelModel) -> float:

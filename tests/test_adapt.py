@@ -57,6 +57,19 @@ REQUIRED_SNR_SPOTS = [
     (10.0, "strong_pe", 51.6, 43.4),
 ]
 
+# the published required-SNR table: four models at 2 to 10 bits
+PUBLISHED_CELLS = [
+    (key, rb) for key in ("weak_gg", "strong_gg", "weak_pe", "strong_pe")
+    for rb in (2.0, 4.0, 6.0, 8.0, 10.0)
+]
+
+# misalignment poles next to 1 and far out: xi2 = 1.00047 (sigma_R^2
+# 0.6673, jitter 18.824 mm) and xi2 = 5401 (sigma_R^2 15, jitter 1 mm)
+ODD_POLES = {
+    "xi2_just_above_one": reference_model(0.6673, jitter_m=0.018824260236064424),
+    "xi2_5401": reference_model(15.0, jitter_m=0.001),
+}
+
 # alpha - beta = 2 on the reference geometry: the cosec coefficient of the
 # closed-form series is singular there
 SIGMA_R2_INTEGER_ORDER = 1.3490433908855886
@@ -653,8 +666,9 @@ class TestRequiredSnr:
 
     def test_round_trip_through_overflowing_pole(self, policy):
         # xi2 = 5401, A0 = 0.037: the series' misalignment pole overflows
-        # above A0; the cutoff search starts at A0/2 and stays below it, so
-        # TestAseLimit::test_cutoff_far_above_a0 covers the overflow
+        # above A0; Newton climbs to the root from below A0/4 and stays
+        # below A0, so TestAseLimit::test_cutoff_far_above_a0 covers the
+        # overflow
         m = reference_model(15.0, jitter_m=0.001)
         snr = adaptive_required_snr(2.0, policy, m)
         assert ase_limit(snr, policy, m).ase_bits == pytest.approx(2.0, abs=1e-8)
@@ -675,9 +689,58 @@ class TestRequiredSnr:
     @pytest.mark.parametrize("rb", [40.0, 1e-4, 1000.0])
     def test_outside_snr_window(self, models, policy, rb):
         # 40 bits needs more than 80 dB, 1e-4 bits less than -30 dB; the
-        # cutoff for 1000 bits lies beyond the bracket search
+        # cutoff for 1000 bits lies near 1e-301, where the SNR is about
+        # 3000 dB
         with pytest.raises(SolverBracketError):
             adaptive_required_snr(rb, policy, models["weak_gg"])
+
+    @pytest.mark.parametrize("rb", [2000.0, math.inf])
+    def test_cutoff_start_underflows(self, models, policy, rb):
+        # Newton's start exp(E[ln I] - rb ln 2) is 0.0 from about 1,075 bits
+        with pytest.raises(SolverBracketError, match="underflows"):
+            adaptive_required_snr(rb, policy, models["weak_gg"])
+
+    @pytest.mark.parametrize("slope,cause", [(1.0, "did not converge"), (0.0, "no slope")])
+    def test_newton_stop_names_its_cause(self, models, policy, monkeypatch, slope, cause):
+        # on a law where each Newton step moves u = ln(cutoff) by 1e-3, the
+        # solve uses up its 200 passes; where 1 - F is 0 it has no step
+        def creeping(c, m, *names, cfg):
+            return np.array([np.full_like(c, 6.0 * LN2 + 1e-3), np.full_like(c, slope), c])
+
+        monkeypatch.setattr(adapt, "_law_at", creeping)
+        with pytest.raises(SolverBracketError, match=cause):
+            adaptive_required_snr(6.0, policy, models["moderate_pe"])
+
+    @pytest.mark.parametrize(
+        "key,rb", [*PUBLISHED_CELLS, *((k, rb) for k in ODD_POLES for rb in (2.0, 6.0, 10.0))]
+    )
+    def test_root_matches_tight_oracle(self, models, policy, monkeypatch, key, rb):
+        # the SNR at the oracle's own root of E[(ln(I/c))^+] = rb ln 2; a
+        # published cell takes at most 5 passes over the law
+        m = models[key] if key in models else ODD_POLES[key]
+        cutoffs = []
+
+        def recording(c, *args, **kwargs):
+            cutoffs.append(float(c[0]))
+            return channel._law_at(c, *args, **kwargs)
+
+        monkeypatch.setattr(adapt, "_law_at", recording)
+        snr = adaptive_required_snr(rb, policy, m).snr_linear
+        c = cutoffs[-1]
+        root = brentq(
+            lambda y: log_excess_tight(y, m) - rb * LN2,
+            c * (1.0 - 1e-9), c * (1.0 + 1e-9), xtol=1e-300, rtol=8.9e-16,
+        )
+        assert snr == pytest.approx(excess_inv_tight(root, m) / policy.k_margin, rel=1e-12)
+        assert key in ODD_POLES or len(cutoffs) <= 5
+
+    def test_makes_no_brentq_call(self, models, policy, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("brentq called")
+
+        monkeypatch.setattr(adapt, "brentq", refuse)
+        for key, rb in PUBLISHED_CELLS:
+            adaptive_required_snr(rb, policy, models[key])
 
 
 class TestBerGuarantee:

@@ -15,7 +15,6 @@ from fso_adapt.channel import (
     Variant,
     _gg_mellin,
     _law_at,
-    _log_excess,
     beam_waist_at_rx,
     composite_cdf,
     composite_pdf,
@@ -693,7 +692,7 @@ def test_near_pole_functionals_match_oracles(jitter_m, u):
     assert composite_pdf(c, m) == pytest.approx(pdf_tight(c, m), rel=1e-12)
     assert mean_inv_above(c, m) == pytest.approx(inv_above_tight(c, m), rel=1e-12)
     assert mean_excess_inv(c, m) == pytest.approx(excess_inv_tight(c, m), rel=1e-11)
-    log_excess = _log_excess(np.array([c]), m, SeriesConfig())[0]
+    log_excess = _law_at(np.array([c]), m, "log")[0, 0]
     assert log_excess == pytest.approx(log_excess_tight(c, m), rel=1e-12)
 
 
@@ -701,7 +700,7 @@ def test_near_pole_functionals_match_oracles(jitter_m, u):
 # close to 1, routing 1 - F with E[1/I; I >= c] would put it on the tail
 # rule at the 39.51 dB cutoff, 9e-9 off
 XI2_JUST_ABOVE_ONE_JITTER_M = 0.018824260236064424
-LAW_NAMES = ("cdf", "sf", "inv", "pdf")
+LAW_NAMES = ("cdf", "sf", "inv", "pdf", "log")
 
 
 class TestSharedPass:
@@ -720,13 +719,20 @@ class TestSharedPass:
         # together, and the ladder's five edges at cutoffs up to A0
         grid = np.geomspace(1e-6, 30.0, 49) * m.a0
         ladder = np.array([4.0, 16.0, 64.0, 256.0, 1024.0])
+        # the ASE functional, over the grid and at each of its cutoffs alone,
+        # against the oracle
+        tight = [log_excess_tight(u, m) for u in grid]
+        np.testing.assert_allclose(_law_at(grid, m, "log")[0], tight, rtol=1e-12, atol=0)
+        alone = [_law_at(u, m, "log")[0, 0] for u in grid[:, None]]
+        np.testing.assert_allclose(alone, tight, rtol=1e-12, atol=0)
         for c in [grid, *grid[:, None], *(ladder * u for u in np.geomspace(1e-5, 1.0, 11) * m.a0)]:
             alone = {n: _law_at(c, m, n)[0] for n in LAW_NAMES}
             np.testing.assert_array_equal(np.clip(alone["cdf"], 0.0, 1.0), composite_cdf(c, m))
             np.testing.assert_array_equal(alone["inv"], mean_inv_above(c, m))
             np.testing.assert_array_equal(alone["pdf"], composite_pdf(c, m))
             np.testing.assert_array_equal(alone["sf"] / c - alone["inv"], mean_excess_inv(c, m))
-            for names in (LAW_NAMES, ("sf", "inv"), ("inv", "pdf")):
+            combos = (LAW_NAMES, ("sf", "inv"), ("inv", "pdf"), ("log", "sf", "inv"), ("sf", "log"))
+            for names in combos:
                 for name, val in zip(names, _law_at(c, m, *names)):
                     np.testing.assert_array_equal(val, alone[name], err_msg=f"{name} of {names}")
 
@@ -742,7 +748,7 @@ def test_shape_gap_next_to_an_integer(delta, pointing, c):
     m = reference_model(1.3490433908855886 + delta, pointing)
     assert composite_cdf(c, m) == pytest.approx(cdf_tight(c, m), rel=1e-12, abs=0)
     assert mean_inv_above(c, m) == pytest.approx(inv_above_tight(c, m), rel=1e-12, abs=0)
-    log_excess = _log_excess(np.array([c]), m, SeriesConfig())[0]
+    log_excess = _law_at(np.array([c]), m, "log")[0, 0]
     assert log_excess == pytest.approx(log_excess_tight(c, m), rel=1e-12, abs=0)
     if pointing:
         assert composite_pdf(c, m) == pytest.approx(pdf_tight(c, m), rel=1e-12, abs=0)

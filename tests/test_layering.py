@@ -38,4 +38,4 @@ def test_no_series_engine_import(module):
 
 def test_adapt_reads_the_law_from_channel():
     # the check above sees the imports it is meant to see
-    assert {"_law_at", "_log_excess"} <= channel_imports(SRC / "adapt.py")
+    assert {"_law_at", "_mean_log_irradiance"} <= channel_imports(SRC / "adapt.py")

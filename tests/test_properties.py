@@ -1,17 +1,20 @@
 """Property tests of the channel law over the physical parameter box."""
 
 import math
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import kv
 
+from fso_adapt import adapt, channel
 from fso_adapt.adapt import (
     LN2,
     BerPolicy,
     ConstellationSet,
     SnrSpec,
     SolverBracketError,
+    adaptive_required_snr,
     ase_limit,
     ase_series,
     discrete_ase,
@@ -241,3 +244,18 @@ def test_cutoff_solves_meet_their_constraints(sigma_r2, jitter_m, pointing, snr_
     steps = cset.spend[1:] - cset.spend[:-1]
     spent = sum(s * inv_above_tight(e, m) for s, e in zip(steps, cset.bounds(sol.cutoff)))
     assert math.isclose(spent, t, rel_tol=1e-12), (m, snr_db, sol, spent)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(*model_box, st.floats(0.5, 12.0))
+def test_adaptive_required_snr_round_trips(sigma_r2, jitter_m, pointing, rb):
+    """The required SNR is typed or finite, gives back rb bits and took at most 12 passes."""
+    m = reference_model(sigma_r2, pointing, jitter_m)
+    policy = BerPolicy(1e-3)
+    with mock.patch.object(adapt, "_law_at", wraps=channel._law_at) as law:
+        try:
+            snr = adaptive_required_snr(rb, policy, m)
+        except SolverBracketError:
+            return
+    assert math.isfinite(snr.snr_db) and law.call_count <= 12, (m, rb, law.call_count)
+    assert abs(ase_limit(snr, policy, m).ase_bits - rb) <= 1e-8, (m, rb, snr)
