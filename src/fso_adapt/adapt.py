@@ -19,7 +19,6 @@ from scipy.optimize import brentq
 
 from .channel import (
     ChannelModel,
-    composite_cdf,
     mean_exp_neg,
     mean_inv_above,
     moment,
@@ -205,23 +204,41 @@ def solve_cutoff_continuous(
     takes h and its slope from one pass over the law, and the solve stops
     once a step is at most 1e-14 x or not positive.
     """
+    return _newton_continuous(snr, policy, m)[0]
+
+
+def _newton_continuous(snr, policy, m, then=(), cfg=None):
+    """solve_cutoff_continuous's Newton solve, and the functionals then at its cutoff.
+
+    then, names of _law_at that the caller needs next, is taken with the
+    series settings cfg.  The pass after a step of at most 1e-6 x is
+    likely the last, so when cfg is the default, which the constraint's
+    passes use, that pass carries then; when the solve stops on a pass
+    that did not, then takes one pass of its own.  Returns (solution,
+    then's values).
+    """
     t = policy.k_margin * snr.snr_linear
     x = t + _mean_inv_irradiance(m)
     walk = not math.isfinite(x)
-    x = 2.0 * t if walk else x
+    x, carry = 2.0 * t if walk else x, ()
+    fold = then if cfg == SeriesConfig() else ()
     for evals in range(1, 201):
         c = 1.0 / x
-        sf, inv = _law_at(np.array([c]), m, "sf", "inv")[:, 0].tolist()
+        sf, inv, *rest = _law_at(np.array([c]), m, "sf", "inv", *carry)[:, 0].tolist()
         h = sf / c - inv
         walk = walk and h < t
         if walk:
-            x *= 2.0
+            x_next = 2.0 * x
         elif h - t > 1e-14 * x * sf:
-            x -= (h - t) / sf
+            x_next = x - (h - t) / sf
         else:
-            return AdaptiveSolution(
+            if then and not carry:
+                rest = _law_at(np.array([c]), m, *then, cfg=cfg)[:, 0].tolist()
+            sol = AdaptiveSolution(
                 cutoff=c, ase_bits=math.nan, constraint_residual=h - t, iterations=evals
             )
+            return sol, rest
+        x, carry = x_next, fold if abs(x_next - x) <= 1e-6 * x else ()
     raise SolverBracketError(_NO_UPPER_END if walk else _NO_CONVERGENCE)
 
 
@@ -238,9 +255,13 @@ def ase_limit(
     m: ChannelModel,
     cfg: SeriesConfig | None = None,
 ) -> AdaptiveSolution:
-    """Maximum average spectral efficiency of the continuous-rate policy."""
-    sol = solve_cutoff_continuous(snr, policy, m)
-    return replace(sol, ase_bits=max(ase_series(sol.cutoff, m, cfg), 0.0))
+    """Maximum average spectral efficiency of the continuous-rate policy.
+
+    The cutoff solve's confirming pass carries the ASE functional; with
+    series settings other than the defaults it takes a pass of its own.
+    """
+    sol, (nats,) = _newton_continuous(snr, policy, m, ("log",), cfg or SeriesConfig())
+    return replace(sol, ase_bits=max(nats / LN2, 0.0))
 
 
 def high_snr_ase(snr: SnrSpec, policy: BerPolicy, m: ChannelModel) -> float:
@@ -278,15 +299,17 @@ def discrete_power(i: float, region_m: int, policy: BerPolicy) -> float:
     return spend / (policy.k_margin * i)
 
 
-def _discrete_constraint(cutoff: float, m: ChannelModel, cset: ConstellationSet):
+def _discrete_constraint(cutoff: float, m: ChannelModel, cset: ConstellationSet, *then):
     """Power P the ladder spends at the cutoff, and x dP/dx in x = 1/cutoff, from one pass.
 
     Summed by parts, each edge's tail E[1/I; I >= edge] enters P once with
-    its step in spend; each tail grows in x at the rate f(edge)/x.
+    its step in spend; each tail grows in x at the rate f(edge)/x.  The
+    functionals then, names of _law_at, follow at the edges from the
+    same pass.
     """
-    inv, pdf = _law_at(cset.bounds(cutoff), m, "inv", "pdf")
+    inv, pdf, *rest = _law_at(cset.bounds(cutoff), m, "inv", "pdf", *then)
     steps = cset.spend[1:] - cset.spend[:-1]
-    return float(steps @ inv), float(steps @ pdf)
+    return float(steps @ inv), float(steps @ pdf), *rest
 
 
 def solve_cutoff_discrete(
@@ -312,7 +335,15 @@ def solve_cutoff_discrete(
     mean of its ends once it has.  The solve stops once a step is at most
     1e-14 x or the bracket is narrower than 4e-14 of its lower end.
     """
-    cset = cset or ConstellationSet()
+    return _newton_discrete(snr, policy, m, cset or ConstellationSet())[0]
+
+
+def _newton_discrete(snr, policy, m, cset, then=(), cfg=None):
+    """solve_cutoff_discrete's Newton solve, and the functionals then at the ladder's edges.
+
+    then is taken as in _newton_continuous, at the edges of the cutoff
+    found.  Returns (solution, then's values).
+    """
     saturation = cset.spend[-1] * _mean_inv_irradiance(m)
     if policy.k_margin * snr.snr_linear >= saturation:
         sat_db = 10.0 * math.log10(saturation / policy.k_margin)
@@ -323,20 +354,25 @@ def solve_cutoff_discrete(
     t = policy.k_margin * snr.snr_linear
     m1 = cset.sizes[1]
     lo = max(t, math.sqrt(m1 * t / moment(1, m)), (m1 * m1 * t / moment(2, m)) ** (1.0 / 3.0))
-    hi, x = math.inf, 2.0 * lo
+    hi, x, carry = math.inf, 2.0 * lo, ()
+    fold = then if cfg == SeriesConfig() else ()
     for evals in range(1, 201):
-        p, slope = _discrete_constraint(1.0 / x, m, cset)
+        p, slope, *rest = _discrete_constraint(1.0 / x, m, cset, *carry)
         lo, hi = (x, hi) if p < t else (lo, x)
         step = math.nan  # P and its slope are 0 only past the law's support
         if p > 0.0 and slope > 0.0:
             # Newton on ln P - ln t in ln x, its exponent capped below overflow
             step = x * math.expm1(min(math.log(t / p) * p / slope, 700.0))
         if abs(step) <= 1e-14 * x or hi - lo <= 4e-14 * lo:
-            return AdaptiveSolution(
+            if then and not carry:
+                rest = _law_at(cset.bounds(1.0 / x), m, *then, cfg=cfg)
+            sol = AdaptiveSolution(
                 cutoff=1.0 / x, ase_bits=math.nan, constraint_residual=p - t, iterations=evals
             )
+            return sol, rest
         in_bracket = lo < x + step < hi
-        x = x + step if in_bracket else 4.0 * lo if hi == math.inf else math.sqrt(lo * hi)
+        x_next = x + step if in_bracket else 4.0 * lo if hi == math.inf else math.sqrt(lo * hi)
+        x, carry = x_next, fold if abs(x_next - x) <= 1e-6 * x else ()
     raise SolverBracketError(_NO_UPPER_END if hi == math.inf else _NO_CONVERGENCE)
 
 
@@ -347,11 +383,16 @@ def discrete_ase(
     cset: ConstellationSet | None = None,
     cfg: SeriesConfig | None = None,
 ) -> AdaptiveSolution:
-    """Average spectral efficiency achieved by the finite constellation ladder."""
+    """Average spectral efficiency achieved by the finite constellation ladder.
+
+    The cutoff solve's confirming pass carries the distribution function
+    at the ladder's edges; with series settings other than the defaults
+    it takes a pass of its own.
+    """
     cset = cset or ConstellationSet()
-    sol = solve_cutoff_discrete(snr, policy, m, cset)
+    sol, (cdf,) = _newton_discrete(snr, policy, m, cset, ("cdf",), cfg or SeriesConfig())
     # summed by parts: each edge adds its step in bits times P(I >= edge)
-    survival = 1.0 - composite_cdf(cset.bounds(sol.cutoff), m, cfg)
+    survival = 1.0 - np.clip(cdf, 0.0, 1.0)
     return replace(sol, ase_bits=float(np.diff(cset.bits) @ survival))
 
 
@@ -411,7 +452,10 @@ def adaptive_required_snr(
     1e-14 max(1, |u|); the SNR is that last pass's.  A start that
     underflows (about 1,075 bits or more), a zero slope, 200 steps
     without convergence and answers outside [-30, 80] dB raise
-    SolverBracketError.
+    SolverBracketError.  Newton only raises c, and the SNR falls as c
+    rises, so the root's SNR is at most an iterate's, and at most
+    target_rb ln 2 / (k_margin c) since E[(ln(I/c))^+] >= c E[(1/c - 1/I)^+]:
+    the first iterate where either is below -30 dB raises at once.
     """
     if not target_rb > 0:
         raise ValueError(f"target_rb must be > 0, got {target_rb}")
@@ -424,11 +468,15 @@ def adaptive_required_snr(
         nats, sf, inv = _law_at(np.array([c]), m, "log", "sf", "inv", cfg=cfg)[:, 0].tolist()
         if not (sf > 0.0 and math.isfinite(nats)):
             raise SolverBracketError(f"no Newton step at the cutoff {c:.6g}: the ASE has no slope")
+        snr_linear = (sf / c - inv) / policy.k_margin
         step = (nats - target) / sf
-        if step <= 1e-14 * max(1.0, abs(u)):
-            snr_linear = (sf / c - inv) / policy.k_margin
-            if not 1e-3 <= snr_linear <= 1e8:  # -30 to 80 dB
-                raise SolverBracketError("adaptive-rate SNR outside [-30, 80] dB")
+        done = step <= 1e-14 * max(1.0, abs(u))
+        # the root's SNR is at most this iterate's, and at most
+        # target / (k_margin c), from ln y >= 1 - 1/y
+        ceiling = min(snr_linear, target / (policy.k_margin * c))
+        if ceiling < 1e-3 or done and not snr_linear <= 1e8:  # -30 to 80 dB
+            raise SolverBracketError("adaptive-rate SNR outside [-30, 80] dB")
+        if done:
             return SnrSpec.from_linear(snr_linear)
         u += step
     raise SolverBracketError(_NO_CONVERGENCE)

@@ -223,8 +223,9 @@ def pointing_params(
 # densities
 
 
+@functools.lru_cache(maxsize=64)
 def _gg_constants(t: TurbulenceParams):
-    """(ln c, e, nu, 4ab) of the gamma-gamma density c x^e K_nu(sqrt(4ab x))."""
+    """(ln c, e, nu, 4ab) of the gamma-gamma density c x^e K_nu(sqrt(4ab x)), once per law."""
     a, b = t.alpha, t.beta
     ln_c = math.log(2.0) + 0.5 * (a + b) * math.log(a * b) - ln_gamma(a) - ln_gamma(b)
     return ln_c, 0.5 * (a + b) - 1.0, a - b, 4.0 * a * b
@@ -374,7 +375,10 @@ def _series_scale(m: ChannelModel, max_terms: int, orders: tuple, shifts: tuple)
     and (pairs, 1) arrays, built once per (model, max_terms, pairs).
     """
     p, coeff = _series_table(m, max_terms)[:2]
-    scale = np.array([coeff / (p + s) ** o for o, s in zip(orders, shifts)])
+    # a pole on p + shift = 0 gives an infinite term, which the series'
+    # NaN hands to the tail rule
+    with np.errstate(divide="ignore"):
+        scale = np.array([coeff / (p + s) ** o for o, s in zip(orders, shifts)])
     pole = np.array([[(m.xi2 + s) ** o] for o, s in zip(orders, shifts)])
     for v in (scale, pole):
         v.setflags(write=False)
@@ -411,8 +415,10 @@ def _residue_series(c, m: ChannelModel, cfg: SeriesConfig, orders: tuple, shifts
         # rows are (series, cutoff) pairs
         terms = (scale[:, None] * np.exp(ln_g + p * ln_u[:, None, None])).reshape(-1, *p.shape)
         idx = np.arange(len(terms))
-        mag = np.abs(terms).max(axis=-1)
-        sums = terms.sum(axis=-1).cumsum(axis=-1)
+        # a row's k-th terms are its two shape families' (the last axis)
+        lead, trail = terms[..., 0], terms[..., 1]
+        mag = np.maximum(np.abs(lead), np.abs(trail))
+        sums = np.cumsum(lead + trail, axis=-1)
         done = mag < cfg.convergence_tol * np.abs(sums)
         done[:, 0] = False  # no sum stops at k = 0
         stopped = done.any(axis=-1)
@@ -444,8 +450,8 @@ def _series_accepts(val, tail, peak, tol: float):
     then takes the cutoff.  Written so that a NaN from a singular
     coefficient fails the test.  Elementwise over arrays.
     """
-    scale = np.maximum(np.abs(val), 1e-12)
-    return (tail <= tol * scale) & (peak * 1e-14 <= tol * scale)
+    bound = tol * np.maximum(np.abs(val), 1e-12)
+    return (tail <= bound) & (peak * 1e-14 <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +479,27 @@ def _laguerre(n: int):
     return rule
 
 
+@functools.lru_cache(maxsize=256)
+def _tail_nodes(n: int, p: float):
+    """The n-point rule's nodes and weights up to the last one whose term can count.
+
+    With z = z0 + w, z0 = 2 sqrt(ab lo) >= 0, each spec's term at node w
+    is W (z0 + w)^q e^z K_nu(z) h, q = a+b-1-2j, times a factor common to
+    all nodes.  From a node to a later one, (z0 + w)^q grows no faster
+    than w^max(q, 0), e^z K_nu(z) = int_0^inf e^(-z (cosh s - 1)) cosh(nu s) ds
+    falls, and h >= 0 grows no faster than w^(1+j) (for j = 1, e > -1).
+    So past the node k of the largest bound B = W w^p, p = max(a+b, 2),
+    node i's term is at most B_i/B_k of node k's, and the nodes past the
+    last one with B >= 2^-60 e^-5 max B, fewer than e^5 of them, add less
+    than 2^-60 of the spec's sum, at every lo.
+    """
+    w, weights = _laguerre(n)
+    with np.errstate(divide="ignore"):
+        ln_b = np.log(weights) + p * np.log(w)
+    keep = np.flatnonzero(ln_b >= ln_b.max() - 60.0 * math.log(2.0) - 5.0)[-1] + 1
+    return w[:keep], weights[:keep]
+
+
 def _tail_rule(lo: np.ndarray, m: ChannelModel, specs, need: np.ndarray) -> np.ndarray:
     """int_lo^inf f_a(t) t^-j h(t) dt at each lo, by Gauss-Laguerre, for each spec (j, e, layered).
 
@@ -483,7 +510,9 @@ def _tail_rule(lo: np.ndarray, m: ChannelModel, specs, need: np.ndarray) -> np.n
     Where the layer (lo/t)^e is narrower than that, e/lo > sqrt(ab/lo),
     the layered term is integrated in v = e ln(t/lo) instead, where it is
     the weight e^(-v).  A tail from beyond z = _Z_NIL is 0: lo is capped
-    there, which also keeps an infinite lo out of the arithmetic.
+    there, which also keeps an infinite lo out of the arithmetic.  The
+    rule in sqrt(t) stops at _tail_nodes' cap, past which its nodes add
+    less than 2^-60 of the sum; the rule in v keeps all n nodes.
 
     The specs share the nodes and the density on them.  need, a
     (specs, lo) mask, names the lo each spec is asked for: its node count
@@ -493,6 +522,9 @@ def _tail_rule(lo: np.ndarray, m: ChannelModel, specs, need: np.ndarray) -> np.n
     """
     lo = np.minimum(lo, _Z_NIL**2 / (4.0 * m.alpha * m.beta))
     sab = math.sqrt(m.alpha * m.beta)
+    p = max(m.alpha + m.beta, 2.0)
+    # a layer (lo/t)^e is narrow where e exceeds this
+    reach = np.sqrt(m.alpha * m.beta * lo)
     out = np.full((len(specs), len(lo)), np.nan)
     # the least lo each spec is asked for; inf for none
     low = np.where(need, lo, np.inf).min(axis=1)
@@ -502,23 +534,23 @@ def _tail_rule(lo: np.ndarray, m: ChannelModel, specs, need: np.ndarray) -> np.n
             continue
         n = _NODES_ABOVE_A0 if low[i] >= 1.0 else _NODES_BELOW_A0
         if n not in nodes:
-            w, weights = _laguerre(n)
+            w, weights = _tail_nodes(n, p)
             root = np.sqrt(lo)[:, None] + w / (2.0 * sab)
             t = root * root
             # f_a(t) dt = e^(-w) [f_a(t) e^w sqrt(t)/sqrt(ab)] dw
             ft = weights * np.exp(_gg_ln_pdf(t, m.turbulence) + w) * root / sab
-            nodes[n] = [w, weights, t, ft, None]
-        w, weights, t, ft, ln_lo_t = nodes[n]
+            nodes[n] = [t, ft, None]
+        t, ft, ln_lo_t = nodes[n]
         if j:
             ft = ft / t
         if e is None:
             out[i] = ft.sum(axis=-1)
             continue
-        narrow = need[i] & (e > np.sqrt(m.alpha * m.beta * lo))
+        narrow = need[i] & (e > reach)
         wide = need[i] > narrow
         if wide.any():
             if ln_lo_t is None:
-                ln_lo_t = nodes[n][4] = np.log(lo)[:, None] - np.log(t)
+                ln_lo_t = nodes[n][2] = np.log(lo)[:, None] - np.log(t)
             ln_u = ln_lo_t[wide]
             if layered:
                 h = np.exp(e * ln_u)
@@ -526,12 +558,13 @@ def _tail_rule(lo: np.ndarray, m: ChannelModel, specs, need: np.ndarray) -> np.n
                 h = -np.expm1(e * ln_u) / e if e else -ln_u
             out[i][wide] = (ft[wide] * h).sum(axis=-1)
         if narrow.any():
+            v, v_weights = _laguerre(n)
             # past z - z0 = 800 the density is nil, and kve fails far beyond
             cap = 2.0 * np.log(np.sqrt(lo[narrow]) + 400.0 / sab)[:, None]
-            ln_t = np.minimum(np.log(lo[narrow])[:, None] + w / e, cap)
+            ln_t = np.minimum(np.log(lo[narrow])[:, None] + v / e, cap)
             # (lo/t)^e f_a(t) dt = e^(-v) [f_a(t) t/e] dv
             ln_f = _gg_ln_pdf(np.exp(ln_t), m.turbulence) + (1 - j) * ln_t - math.log(e)
-            layer = (weights * np.exp(ln_f)).sum(axis=-1)
+            layer = (v_weights * np.exp(ln_f)).sum(axis=-1)
             out[i][narrow] = layer if layered else (ft[narrow].sum(axis=-1) - layer) / e
     return out
 
@@ -595,6 +628,32 @@ _LAW = {"cdf": (1, 0.0, 0), "sf": (1, 0.0, 0), "inv": (1, -1.0, 1), "pdf": (0, 0
         "log": (2, 0.0, 0)}
 
 
+@functools.lru_cache(maxsize=64)
+def _law_plan(m: ChannelModel):
+    """_law_at's constants of the model, built once per model.
+
+    Returns (specs, inv_mean, ln_mean): each functional's tail-rule spec
+    by name, and with pointing the ASE's misalignment term as "log_pole";
+    E[1/I] continued, NaN on its pole at a, b or xi2 = 1; and E[ln I].
+    """
+    xi2, pe = m.xi2, m.pointing is not None
+    # with pointing, the tail rules of 1 - F and E[1/I; I >= c] average
+    # over the misalignment factor in closed form, and the density's is
+    # layered; the ASE functional's ln(t/lo) is e = 0, and its
+    # misalignment term a spec of its own
+    specs = {
+        n: (j, 0.0 if n == "log" else xi2 - j if pe else None, n == "pdf")
+        for n, (_, _, j) in _LAW.items()
+    }
+    if pe:
+        specs["log_pole"] = (0, xi2, False)
+    try:
+        inv_mean = _inv_moment(m)
+    except ZeroDivisionError:  # on its pole E[1/I] has no value
+        inv_mean = math.nan
+    return specs, inv_mean, _mean_log_irradiance(m)
+
+
 def _law_at(c: np.ndarray, m: ChannelModel, *names, cfg: SeriesConfig = _SERIES) -> np.ndarray:
     """The named functionals of the composite law at cutoffs c > 0, as a (names, c) array.
 
@@ -605,30 +664,22 @@ def _law_at(c: np.ndarray, m: ChannelModel, *names, cfg: SeriesConfig = _SERIES)
     it, so each value is the one it has when asked alone.  1 - F is
     taken from the series only where F is good to _SERIES_TOL too.
     E[1/I; I >= c] is E[1/I] - E[1/I; I < c] below A0, the series at
-    shift -1 taken from the inverse moment, continued where it diverges;
-    both terms have a pole at a, b or xi2 = 1, within singularity_eps of
-    which the tail rule takes it.  The ASE functional's series is
-    E[ln I] - ln(c) plus the order-2 series, and its tail rule integrates
-    ln(t/lo) less (1 - (lo/t)^xi2)/xi2, its mean over the misalignment
-    factor, integrated as a spec of its own.  Without pointing the
-    density is its exact Bessel closed form, which takes no route.
+    shift -1 taken from the inverse moment, continued where it diverges.
+    Both terms have a pole at a, b or xi2 = 1: next to it they cancel
+    far below their size, which the guard's peak turns down, and on it
+    E[1/I] is NaN, which no guard accepts.  The ASE functional's series
+    is E[ln I] - ln(c) plus the order-2 series, and its tail rule
+    integrates ln(t/lo) less (1 - (lo/t)^xi2)/xi2, its mean over the
+    misalignment factor, integrated as a spec of its own.  Without
+    pointing the density is its exact Bessel closed form, which takes no
+    route.
     """
+    specs, inv_mean, ln_mean = _law_plan(m)
     a0, xi2, pe = m.a0, m.xi2, m.pointing is not None
-    inv_ok = min(abs(v - 1.0) for v in (m.alpha, m.beta, xi2)) >= SeriesConfig.singularity_eps
-    inv_mean = _inv_moment(m) if inv_ok else math.nan
     # without pointing the density is its Bessel closed form, set below
     routed = tuple(n for n in names if pe or n != "pdf")
-    # with pointing, the tail rules of 1 - F and E[1/I; I >= c] average
-    # over the misalignment factor in closed form, and the density's is
-    # layered; the ASE functional's ln(t/lo) is e = 0, and its
-    # misalignment term a last spec
-    specs = [
-        (_LAW[n][2], 0.0 if n == "log" else xi2 - _LAW[n][2] if pe else None, n == "pdf")
-        for n in routed
-    ]
     log_pole = pe and "log" in routed
-    if log_pole:
-        specs.append((0, xi2, False))
+    rule_specs = [specs[n] for n in routed + ("log_pole",) * log_pole]
 
     def series(c):
         val, tail, peak = _residue_series(c, m, cfg, *zip(*(_LAW[n][:2] for n in routed)))
@@ -636,26 +687,28 @@ def _law_at(c: np.ndarray, m: ChannelModel, *names, cfg: SeriesConfig = _SERIES)
         for i, n in enumerate(routed):
             v, tl, pk = val[i], tail[i], peak[i]
             if n == "sf":
-                ok[i] = _series_accepts(np.minimum(v, 1.0 - v), tl, pk, _SERIES_TOL)
-                val[i] = 1.0 - v
+                sf = 1.0 - v
+                ok[i] = _series_accepts(np.minimum(v, sf), tl, pk, _SERIES_TOL)
+                val[i] = sf
             elif n == "inv":
                 val[i] = inv_mean - v / c
                 pk = np.maximum(pk / c, abs(inv_mean))
-                ok[i] = inv_ok & _series_accepts(val[i], tl / c, pk, _SERIES_TOL)
+                ok[i] = _series_accepts(val[i], tl / c, pk, _SERIES_TOL)
             elif n == "cdf":
                 ok[i] = _series_accepts(v, tl, pk, _SERIES_TOL)
             elif n == "log":
-                val[i] = _mean_log_irradiance(m) - np.log(c) + v
+                val[i] = ln_mean - np.log(c) + v
                 ok[i] = _series_accepts(val[i], tl, pk, _SERIES_TOL)
             else:
-                ok[i] = _series_accepts(v / c, tl / c, pk / c, _SERIES_TOL)
-                val[i] = np.maximum(v / c, 0.0)
+                pdf = v / c
+                ok[i] = _series_accepts(pdf, tl / c, pk / c, _SERIES_TOL)
+                val[i] = np.maximum(pdf, 0.0)
         return val, ok
 
     def rule(c, need):
         if log_pole:
             need = np.concatenate((need, need[routed.index("log")][None]))
-        out = _tail_rule(c / a0, m, specs, need)
+        out = _tail_rule(c / a0, m, rule_specs, need)
         scale = xi2 if pe else 1.0
         for i, n in enumerate(routed):
             if n != "log":

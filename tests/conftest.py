@@ -7,8 +7,11 @@ is swept via the structure parameter so the Rytov variance hits
 and without the misalignment model.
 """
 
+import math
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from fso_adapt import (
@@ -17,6 +20,7 @@ from fso_adapt import (
     LinkGeometry,
     SeriesConfig,
     beam_waist_at_rx,
+    channel,
     gg_params,
     pointing_params,
     rytov_variance,
@@ -59,6 +63,49 @@ def reference_model(sigma_r2: float, pointing: bool = True, jitter_m: float = 0.
     wl = beam_waist_at_rx(geom)
     pp = pointing_params(geom.rx_aperture_radius_m, wl, geom.jitter_sigma_m)
     return ChannelModel(turb, pp)
+
+
+# lo = c/A0 of the tail rule's node-cap checks; from lo = 1 on, it takes
+# the 40-node rule
+TAIL_LO = np.geomspace(1e-6, 1e3, 28)
+
+
+def assert_tail_cap(m):
+    """The tail rule's node cap holds its bound and moves no spec by more than 4 ulp.
+
+    Each spec's terms over the full node set, in the rule's substitution,
+    past the cap add at most 2^-60 of those before it; the capped rule
+    matches the full one, patched in, for every spec _law_at gives it.
+    """
+    specs = channel._law_plan(m)[0]
+    names = [n for n in specs if m.pointing is not None or n != "pdf"]
+    specs = [specs[n] for n in names]
+    sab = math.sqrt(m.alpha * m.beta)
+    p = max(m.alpha + m.beta, 2.0)
+    for lo in (TAIL_LO, TAIL_LO[TAIL_LO >= 1.0]):
+        n = channel._NODES_ABOVE_A0 if lo.min() >= 1.0 else channel._NODES_BELOW_A0
+        w, weights = channel._laguerre(n)
+        keep = len(channel._tail_nodes(n, p)[0])
+        root = np.sqrt(lo)[:, None] + w / (2.0 * sab)
+        t = root * root
+        ft = weights * np.exp(channel._gg_ln_pdf(t, m.turbulence) + w) * root / sab
+        u = lo[:, None] / t
+        for (j, e, layered), name in zip(specs, names):
+            if e is None:
+                h = 1.0
+            elif layered:
+                h = u**e
+            else:
+                h = -np.expm1(e * np.log(u)) / e if e else -np.log(u)
+            terms = ft / t**j * h
+            assert (terms >= 0.0).all(), name
+            dropped, kept = terms[:, keep:].sum(axis=1), terms[:, :keep].sum(axis=1)
+            assert (dropped <= 2.0**-60 * kept).all(), (name, n)
+        need = np.ones((len(specs), len(lo)), dtype=bool)
+        capped = channel._tail_rule(lo, m, specs, need)
+        with mock.patch.object(channel, "_tail_nodes", lambda n, p: channel._laguerre(n)):
+            full = channel._tail_rule(lo, m, specs, need)
+        np.testing.assert_array_max_ulp(capped, full, maxulp=4)
 
 
 def build_models() -> dict:

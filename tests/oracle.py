@@ -162,7 +162,8 @@ def inv_above_tight(c: float, m) -> float:
     k = xi2 / a0
 
     def weight(t):
-        return k / t * -math.expm1(e * math.log(lo / t)) / e
+        ln_u = math.log(lo / t)
+        return k / t * (-math.expm1(e * ln_u) / e if e else -ln_u)
 
     return _tight_tail(lo, m, weight)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from fso_adapt.adapt import (
     solve_cutoff_discrete,
 )
 from fso_adapt.channel import (
+    composite_cdf,
     mean_excess_inv,
     mean_exp_neg,
     mean_inv_above,
@@ -408,13 +410,21 @@ class TestDiscreteScheme:
             return channel._law_at(c, model, *names)
 
         monkeypatch.setattr(adapt, "_law_at", counting)
-        val, _ = adapt._discrete_constraint(cutoff, m, cset)
+        val, slope = adapt._discrete_constraint(cutoff, m, cset)
         # one pass carries every boundary, for the tails and their densities
         assert len(calls) == 1
         edges, names = calls[0]
         assert names == ("inv", "pdf")
         assert len(set(edges.tolist())) == edges.size == len(sizes) - 1
         assert val == pytest.approx(per_rung, rel=1e-12, abs=1e-15)
+        # and the distribution function a caller carries rides on the same pass
+        calls.clear()
+        carried = adapt._discrete_constraint(cutoff, m, cset, "cdf")
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0][0], edges)
+        assert calls[0][1] == ("inv", "pdf", "cdf")
+        assert carried[:2] == (val, slope)
+        np.testing.assert_array_equal(np.clip(carried[2], 0.0, 1.0), composite_cdf(edges, m))
 
     @pytest.mark.parametrize("key", MODEL_KEYS)
     def test_constraint_slope_matches_difference(self, models, key):
@@ -481,6 +491,26 @@ class TestRoutes:
                 discrete_ase(snr, policy, m)
         assert calls == []
 
+    @pytest.mark.parametrize("cfg,alone", [(None, 4), (SeriesConfig(max_terms=40), 84)])
+    def test_sweep_carries_each_last_functional(self, models, policy, monkeypatch, cfg, alone):
+        # with the default series settings, the ASE functional and the
+        # ladder's distribution ride on the solves' confirming passes, so
+        # 4 of the 84 solves need a pass of their own; with other settings
+        # every solve does
+        calls = []
+
+        def counting(c, m, *names, **kwargs):
+            calls.append(names)
+            return channel._law_at(c, m, *names, **kwargs)
+
+        monkeypatch.setattr(adapt, "_law_at", counting)
+        for m in models.values():
+            for db in range(0, 31, 5):
+                snr = SnrSpec.from_db(db)
+                ase_limit(snr, policy, m, cfg)
+                discrete_ase(snr, policy, m, cfg=cfg)
+        assert sum(names in {("log",), ("cdf",)} for names in calls) == alone
+
     def test_sweep_makes_no_brentq_call(self, models, policy, monkeypatch):
         # both cutoff solves run Newton from their proved starts
         def refuse(*args, **kwargs):
@@ -492,6 +522,62 @@ class TestRoutes:
                 snr = SnrSpec.from_db(db)
                 ase_limit(snr, policy, m)
                 discrete_ase(snr, policy, m)
+
+
+class TestSweepPasses:
+    @pytest.mark.parametrize("cfg", [None, SeriesConfig(max_terms=40)])
+    def test_carried_ases_match_their_own_passes(self, models, policy, cfg):
+        # the ASE functional and the ladder's distribution, carried on the
+        # solves' last pass, equal a separate pass at the cutoff found
+        cset = ConstellationSet()
+        for m in models.values():
+            for db in range(-10, 41, 2):
+                snr = SnrSpec.from_db(db)
+                sol = solve_cutoff_continuous(snr, policy, m)
+                limit = ase_limit(snr, policy, m, cfg)
+                assert limit == replace(sol, ase_bits=max(ase_series(sol.cutoff, m, cfg), 0.0))
+                try:
+                    sol = solve_cutoff_discrete(snr, policy, m, cset)
+                except SolverBracketError:
+                    with pytest.raises(SolverBracketError):
+                        discrete_ase(snr, policy, m, cset, cfg)
+                    continue
+                survival = 1.0 - composite_cdf(cset.bounds(sol.cutoff), m, cfg)
+                disc = discrete_ase(snr, policy, m, cset, cfg)
+                assert disc == replace(sol, ase_bits=float(np.diff(cset.bits) @ survival))
+
+    def test_sweep_square_work_budget(self, models, policy, monkeypatch):
+        # one sweep square, the six models at 0 to 30 dB in steps of 6: at
+        # most 1,800 gamma-gamma density evaluations and 8.8 passes over
+        # the law a row (2,696 and 10.5 before the tail rule's node cap and
+        # the carried functionals), the same on every run
+        counts = {"passes": 0, "densities": 0}
+        law_at, ln_pdf = channel._law_at, channel._gg_ln_pdf
+
+        def counting_law(*args, **kwargs):
+            counts["passes"] += 1
+            return law_at(*args, **kwargs)
+
+        def counting_pdf(x, t):
+            counts["densities"] += np.size(x)
+            return ln_pdf(x, t)
+
+        monkeypatch.setattr(adapt, "_law_at", counting_law)
+        monkeypatch.setattr(channel, "_law_at", counting_law)
+        monkeypatch.setattr(channel, "_gg_ln_pdf", counting_pdf)
+        runs = []
+        for _ in range(2):
+            counts.update(passes=0, densities=0)
+            for m in models.values():
+                for db in range(0, 31, 6):
+                    snr = SnrSpec.from_db(db)
+                    ase_limit(snr, policy, m)
+                    discrete_ase(snr, policy, m)
+            runs.append(dict(counts))
+        rows = len(models) * 6
+        assert runs[0] == runs[1]
+        assert runs[0]["densities"] <= 1800 * rows
+        assert runs[0]["passes"] <= 8.8 * rows
 
 
 class TestNearPoleModels:
@@ -539,9 +625,9 @@ class TestCutoffBrackets:
     def test_each_point_evaluated_once(self, models, policy, monkeypatch):
         calls = []
 
-        def counting(c, *args):
-            calls.append(tuple(np.asarray(c).tolist()))
-            return channel._law_at(c, *args)
+        def counting(c, *args, **kwargs):
+            calls.append((tuple(np.asarray(c).tolist()), args[1:]))
+            return channel._law_at(c, *args, **kwargs)
 
         monkeypatch.setattr(adapt, "_law_at", counting)
         total = 0
@@ -551,8 +637,19 @@ class TestCutoffBrackets:
                 for solve in (solve_cutoff_continuous, solve_cutoff_discrete):
                     calls.clear()
                     sol = solve(snr, policy, m)
-                    assert len(set(calls)) == len(calls) == sol.iterations
+                    points = [c for c, _ in calls]
+                    assert len(set(points)) == len(points) == sol.iterations
                     total += len(calls)
+                # the ASEs make the same solves; the functional each needs
+                # next is read once, at the cutoff found, from the last pass
+                for run, last in ((ase_limit, "log"), (discrete_ase, "cdf")):
+                    calls.clear()
+                    sol = run(snr, policy, m)
+                    points = [c for c, names in calls if names != (last,)]
+                    assert len(set(points)) == len(points) == sol.iterations
+                    assert last in calls[-1][1]
+                    alone = [c for c, names in calls if names == (last,)]
+                    assert alone in ([], [points[-1]])
         assert total <= 450
 
     def test_newton_evaluation_counts(self, models, policy):
@@ -687,12 +784,21 @@ class TestRequiredSnr:
             fixed_required_snr(8.0, 1e-12, models["strong_gg"])
 
     @pytest.mark.parametrize("rb", [40.0, 1e-4, 1000.0])
-    def test_outside_snr_window(self, models, policy, rb):
+    def test_outside_snr_window(self, models, policy, monkeypatch, rb):
         # 40 bits needs more than 80 dB, 1e-4 bits less than -30 dB; the
         # cutoff for 1000 bits lies near 1e-301, where the SNR is about
-        # 3000 dB
-        with pytest.raises(SolverBracketError):
+        # 3000 dB.  Each raises within 3 passes over the law: 1e-4 bits
+        # as soon as an iterate bounds the root's SNR below -30 dB.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return channel._law_at(*args, **kwargs)
+
+        monkeypatch.setattr(adapt, "_law_at", counting)
+        with pytest.raises(SolverBracketError, match=r"outside \[-30, 80\] dB"):
             adaptive_required_snr(rb, policy, models["weak_gg"])
+        assert len(calls) <= 3
 
     @pytest.mark.parametrize("rb", [2000.0, math.inf])
     def test_cutoff_start_underflows(self, models, policy, rb):

@@ -31,7 +31,7 @@ from fso_adapt.channel import (
 )
 from fso_adapt.specfun import SeriesConfig, SingularOrderError
 
-from conftest import NEAR_POLE_JITTER_M, reference_geometry, reference_model
+from conftest import NEAR_POLE_JITTER_M, assert_tail_cap, reference_geometry, reference_model
 from oracle import (
     cdf_tight,
     composite_cdf_quad,
@@ -661,17 +661,30 @@ class TestSingularityGuards:
         assert pdf == pytest.approx(composite_pdf_quad(0.3, m), rel=1e-12)
 
     @pytest.mark.parametrize("u", [0.1, 0.5, 2.0])
-    @pytest.mark.parametrize("pole", ["xi2_above", "xi2_below", "beta", "beta_pointing"])
+    @pytest.mark.parametrize(
+        "pole",
+        [
+            "xi2_above", "xi2_below", "beta", "beta_pointing",
+            "xi2_on", "beta_on", "beta_on_pointing",
+        ],
+    )
     def test_inv_above_next_to_its_pole(self, models, pole, u):
-        # E[1/I] has a pole at a, b or xi2 = 1, so the series is singular
-        # within singularity_eps of one and the tail rule takes every cutoff
+        # E[1/I] has a pole at a, b or xi2 = 1: next to one the series'
+        # two terms cancel far below their size, and on one E[1/I] is NaN,
+        # so the guard turns the series down and the tail rule takes every
+        # cutoff
         pe = models["strong_pe"]
         beta_one = TurbulenceParams(alpha=4.0, beta=1.0 + 1e-9, rytov_var=1.0)
+        # alpha - beta off an integer, so that the series itself is not singular
+        beta_on = TurbulenceParams(alpha=4.3, beta=1.0, rytov_var=1.0)
         m = {
             "xi2_above": ChannelModel(pe.turbulence, replace(pe.pointing, xi2=1.0 + 1e-9)),
             "xi2_below": ChannelModel(pe.turbulence, replace(pe.pointing, xi2=1.0 - 1e-9)),
             "beta": ChannelModel(beta_one),
             "beta_pointing": ChannelModel(beta_one, pe.pointing),
+            "xi2_on": ChannelModel(pe.turbulence, replace(pe.pointing, xi2=1.0)),
+            "beta_on": ChannelModel(beta_on),
+            "beta_on_pointing": ChannelModel(beta_on, pe.pointing),
         }[pole]
         c = u * m.a0
         # u = 0.01 is left out: there the rule is 3.5e-11 off on the beta ~ 1
@@ -703,18 +716,28 @@ XI2_JUST_ABOVE_ONE_JITTER_M = 0.018824260236064424
 LAW_NAMES = ("cdf", "sf", "inv", "pdf", "log")
 
 
+LAW_KEYS = ["weak_gg", "weak_pe", "moderate_gg", "moderate_pe", "strong_gg", "strong_pe",
+            "near_pole_0", "near_pole_1", "xi2_just_above_one"]
+
+
+def law_model(models, key):
+    """A reference model, a near-pole model or the xi2 ~ 1 model, by its LAW_KEYS key."""
+    if key in models:
+        return models[key]
+    if key == "xi2_just_above_one":
+        return reference_model(0.6673, jitter_m=XI2_JUST_ABOVE_ONE_JITTER_M)
+    return reference_model(1.0, jitter_m=NEAR_POLE_JITTER_M[int(key[-1])])
+
+
+@pytest.mark.parametrize("key", LAW_KEYS)
+def test_tail_rule_node_cap(models, key):
+    assert_tail_cap(law_model(models, key))
+
+
 class TestSharedPass:
-    @pytest.mark.parametrize(
-        "key", ["weak_gg", "weak_pe", "moderate_gg", "moderate_pe", "strong_gg", "strong_pe",
-                "near_pole_0", "near_pole_1", "xi2_just_above_one"],
-    )
+    @pytest.mark.parametrize("key", LAW_KEYS)
     def test_each_functional_as_if_alone(self, models, key):
-        if key in models:
-            m = models[key]
-        elif key == "xi2_just_above_one":
-            m = reference_model(0.6673, jitter_m=XI2_JUST_ABOVE_ONE_JITTER_M)
-        else:
-            m = reference_model(1.0, jitter_m=NEAR_POLE_JITTER_M[int(key[-1])])
+        m = law_model(models, key)
         # cutoffs from deep in the series to past A0, one at a time and
         # together, and the ladder's five edges at cutoffs up to A0
         grid = np.geomspace(1e-6, 30.0, 49) * m.a0
@@ -731,7 +754,10 @@ class TestSharedPass:
             np.testing.assert_array_equal(alone["inv"], mean_inv_above(c, m))
             np.testing.assert_array_equal(alone["pdf"], composite_pdf(c, m))
             np.testing.assert_array_equal(alone["sf"] / c - alone["inv"], mean_excess_inv(c, m))
-            combos = (LAW_NAMES, ("sf", "inv"), ("inv", "pdf"), ("log", "sf", "inv"), ("sf", "log"))
+            combos = (
+                LAW_NAMES, ("sf", "inv"), ("inv", "pdf"), ("log", "sf", "inv"), ("sf", "log"),
+                ("sf", "inv", "log"), ("inv", "pdf", "cdf"),
+            )
             for names in combos:
                 for name, val in zip(names, _law_at(c, m, *names)):
                     np.testing.assert_array_equal(val, alone[name], err_msg=f"{name} of {names}")

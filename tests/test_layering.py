@@ -8,12 +8,16 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "fso_adapt"
 
 # the residue series, its guard, the series-or-rule router, the tail rule
-# and the rational E[1/I] are channel's own building blocks
+# and its node cap, the per-model law constants and the rational E[1/I]
+# are channel's own building blocks
 ENGINE = {
     "_residue_series",
     "_series_accepts",
     "_series_or_rule",
     "_tail_rule",
+    "_tail_nodes",
+    "_law_plan",
+    "_SERIES",
     "_SERIES_TOL",
     "_inv_moment",
     "_misalignment",

@@ -39,7 +39,7 @@ from fso_adapt.channel import (
 )
 from fso_adapt.specfun import SeriesConfig
 
-from conftest import reference_model
+from conftest import assert_tail_cap, reference_model
 from oracle import (
     composite_cdf_quad,
     excess_inv_tight,
@@ -186,6 +186,14 @@ def test_moments_are_one_mellin_transform(sigma_r2, jitter_m, pointing):
     if min(abs(a - 1.0), abs(b - 1.0), abs(xi2 - 1.0)) > 1e-3:
         expect = _gg_mellin(-1.0, m.turbulence) / (a0 * (1.0 - 1.0 / xi2))
         assert math.isclose(_inv_moment(m), expect, rel_tol=1e-13), m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(*model_box)
+@example(0.05, 0.05, False)  # alpha + beta near 81: the 40-node rule keeps every node
+def test_tail_rule_node_cap_over_the_box(sigma_r2, jitter_m, pointing):
+    """Over the box, the tail rule's node cap holds its bound and moves a spec by 4 ulp at most."""
+    assert_tail_cap(reference_model(sigma_r2, pointing, jitter_m))
 
 
 # SNR grid of the box-wide limits, dB
