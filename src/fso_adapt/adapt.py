@@ -10,7 +10,6 @@ and solve the long-term power constraint for the cutoff.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -19,15 +18,15 @@ from scipy.optimize import brentq
 
 from .channel import (
     ChannelModel,
-    mean_exp_neg,
     mean_inv_above,
     moment,
+    _laplace_at,
     _law_at,
     _mean_inv_irradiance,
     _mean_log_irradiance,
 )
-# digamma, ln_gamma and mean_inv_above are unused here; the benchmark's
-# trace tests expect these bindings
+# brentq, digamma, ln_gamma and mean_inv_above are unused here; the
+# benchmark's trace tests expect these bindings
 from .specfun import SeriesConfig, digamma, ln_gamma
 
 __all__ = [
@@ -53,6 +52,14 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+LN10 = math.log(10.0)
+# the fixed-rate solve in u = ln s: the error it leaves (a tenth of
+# 1e-9 dB), the steps of its quadratic regime, the least step it takes,
+# and the largest u whose s is a float
+_FIXED_TOL = 2.3e-11
+_FIXED_NEAR = 1e-5
+_FIXED_STOP = 1e-10
+_LN_S_MAX = 709.0
 
 
 class SolverBracketError(RuntimeError):
@@ -404,33 +411,75 @@ def fixed_required_snr(target_rb: float, target_ber: float, m: ChannelModel) -> 
     """SNR a fixed constellation needs for the fading-averaged BER target.
 
     The constellation is the one achieving the requested spectral
-    efficiency, M = 2^target_rb, driven at constant power.  The root is
-    searched in [-20, 90] dB; an answer outside that window raises
-    SolverBracketError.
+    efficiency, M = 2^target_rb, driven at constant power.  Its bound
+    0.2 exp(-s I), s = 1.5 SNR / (M - 1), averages to the target where
+    g(u) = ln E[exp(-sI)] - ln(target_ber/0.2) is 0, u = ln s, a root
+    that does not depend on M.  It lies above Jensen's bound, from
+    E[exp(-sI)] >= exp(-s E[I]), and below the bound from exp(-x) < 1/x,
+    E[exp(-sI)] < E[1/I] / s; clamped to the window [-20, 90] dB, these
+    are the ends of a bracket.  Newton's method in u starts at the lower
+    end, each step takes g and its slope from one pass of _laplace_at,
+    and every pass narrows the bracket.  A step that leaves the bracket
+    bisects it in u; while the upper end is the window's, which no bound
+    proves, that end is tried first, and g >= 0 there raises.
+
+    The stop: near the root a Newton step d leaves an error of about
+    C d^2 in u, C = |g''/(2 g')|, and the last two steps give C as
+    |d| / d_prev^2.  Once a step is at most 1e-5, in the quadratic
+    regime, the solve returns the iterate plus that step if
+    |d|^3 / d_prev^2 max(1, |g'|) is at most 2.3e-11: a tenth of brentq's
+    xtol of 1e-9 dB (2.3e-10 in u), and where |g'| > 1 a bound on the
+    relative error of E[exp(-sI)] as well.  A step or a bracket of at
+    most 1e-10 also stops it.  On the published cells C is about 0.16
+    and the solve takes 4 passes: its steps fall to about 5e-3 and then
+    3e-6, for a predicted error of about 1e-12.
+
+    Roots outside the window raise SolverBracketError.  M - 1 is taken
+    as expm1(target_rb ln 2) in log form, so that no rate overflows it
+    or rounds it to 0.
     """
     if not target_rb > 0:
         raise ValueError(f"target_rb must be > 0, got {target_rb}")
     if not (0.0 < target_ber < 0.2):
         raise ValueError(f"target_ber must lie in (0, 0.2), got {target_ber}")
-    msize = 2.0**target_rb
     ln_target = math.log(target_ber / 0.2)
-
-    @functools.cache
-    def res(snr_db):
-        s = 1.5 * 10.0 ** (snr_db / 10.0) / (msize - 1.0)
-        val = mean_exp_neg(s, m)
-        return (math.log(val) if val > 0 else -1e6) - ln_target
-
-    # the root in s = 1.5 SNR / (M - 1) lies above Jensen's bound, from
-    # E[e^(-sI)] >= e^(-s E[I]), and below the bound from e^(-x) < 1/x,
-    # E[e^(-sI)] < E[1/I] / s
-    s_lo = -ln_target / moment(1, m)
-    s_hi = 0.2 * _mean_inv_irradiance(m) / target_ber
-    db = lambda s: 10.0 * math.log10(s * (msize - 1.0) / 1.5)
-    lo, hi = max(db(s_lo), -20.0), min(db(s_hi), 90.0)
-    if not lo < hi or res(lo) < 0 or res(hi) > 0:
-        raise SolverBracketError("fixed-rate SNR outside [-20, 90] dB")
-    return SnrSpec.from_db(brentq(res, lo, hi, xtol=1e-9, maxiter=200))
+    bits = target_rb * LN2
+    # u - ln(SNR) = ln(1.5) - ln(M - 1)
+    offset = math.log(1.5) - bits - math.log(-math.expm1(-bits))
+    window = "fixed-rate SNR outside [-20, 90] dB"
+    lo, top = (offset + db * LN10 / 10.0 for db in (-20.0, 90.0))
+    lo = max(lo, math.log(-ln_target / moment(1, m)))
+    top = min(top, _LN_S_MAX)
+    hi = min(top, math.log(0.2 * _mean_inv_irradiance(m) / target_ber))
+    if not lo < hi:
+        raise SolverBracketError(window)
+    # g < 0 at hi is proved unless hi is the window's end, which is probed
+    # before the first bisection
+    probe, u, last = hi == top, lo, 0.0
+    for _ in range(200):
+        val, slope = _laplace_at(math.exp(u), m)
+        g = math.log(val) - ln_target if val > 0.0 else -math.inf
+        if g >= 0.0:
+            if u == top:
+                raise SolverBracketError(window)
+            lo = u
+        elif u == lo:  # the first pass: the root lies below the lower end
+            raise SolverBracketError(window)
+        else:
+            hi, probe = u, False
+        step = -g * val / slope if slope < 0.0 and g > -math.inf else math.nan
+        # the error that taking this step leaves, once Newton converges
+        # quadratically
+        near = last != 0.0 and abs(step) <= _FIXED_NEAR
+        err = abs(step**3 / last**2) * max(1.0, -slope / val) if near else math.inf
+        if err <= _FIXED_TOL or abs(step) <= _FIXED_STOP:
+            return SnrSpec.from_db((u + step - offset) * 10.0 / LN10)
+        if hi - lo <= _FIXED_STOP:
+            return SnrSpec.from_db((u - offset) * 10.0 / LN10)
+        u, last = u + step, step
+        if not lo < u < hi:
+            u, probe, last = hi if probe else 0.5 * (lo + hi), False, 0.0
+    raise SolverBracketError("fixed-rate Newton solve did not converge in 200 passes")
 
 
 def adaptive_required_snr(

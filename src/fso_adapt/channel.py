@@ -559,12 +559,18 @@ def _tail_rule(lo: np.ndarray, m: ChannelModel, specs, need: np.ndarray) -> np.n
             out[i][wide] = (ft[wide] * h).sum(axis=-1)
         if narrow.any():
             v, v_weights = _laguerre(n)
-            # past z - z0 = 800 the density is nil, and kve fails far beyond
+            # past z - z0 = 800 the density is nil, and kve fails far beyond:
+            # ln t is capped there, and the nodes past every row's cap, whose
+            # terms are 0, are not evaluated
             cap = 2.0 * np.log(np.sqrt(lo[narrow]) + 400.0 / sab)[:, None]
-            ln_t = np.minimum(np.log(lo[narrow])[:, None] + v / e, cap)
+            ln_t = np.log(lo[narrow])[:, None] + v / e
+            k = (ln_t <= cap).sum(axis=-1).max()  # v is increasing
+            ln_t = np.minimum(ln_t[:, :k], cap)
             # (lo/t)^e f_a(t) dt = e^(-v) [f_a(t) t/e] dv
             ln_f = _gg_ln_pdf(np.exp(ln_t), m.turbulence) + (1 - j) * ln_t - math.log(e)
-            layer = (v_weights * np.exp(ln_f)).sum(axis=-1)
+            terms = np.zeros((len(ln_t), n))
+            terms[:, :k] = v_weights[:k] * np.exp(ln_f)
+            layer = terms.sum(axis=-1)
             out[i][narrow] = layer if layered else (ft[narrow].sum(axis=-1) - layer) / e
     return out
 
@@ -844,15 +850,16 @@ _EXP_SINH_LN_T = 0.5 * math.pi * np.sinh(_EXP_SINH_TAU)
 _EXP_SINH_LN_W = np.log(math.pi / 32.0 * np.cosh(_EXP_SINH_TAU))
 
 
-def _laplace_series(y: float, m: ChannelModel) -> float:
-    """E[exp(-s I)] at y = s A0 by the residue series in 1/y; NaN where its guard fails.
+def _laplace_series(y: float, m: ChannelModel):
+    """E[exp(-s I)] and y d/dy of it, y = s A0, by the residue series in 1/y; NaNs past its guard.
 
     It is the distribution's series transformed term by term through
     E[exp(-s I)] = s int_0^inf exp(-s c) F(c) dc: the term of the pole p
     becomes g_k Gamma(p) y^-p / (1 - p/xi2), and the misalignment pole
     E[I_a^-xi2] Gamma(xi2 + 1) y^-xi2.  It converges for every y, fastest
     for large y.  The guard is relative, since the value falls to the
-    bottom of the double range.
+    bottom of the double range.  Each term is a power of y, so y d/dy of
+    the sum is -p times each term kept, and -xi2 times the pole.
     """
     p, coeff, ln_g, e_neg, complete = _series_table(m, _SERIES.max_terms)
     ln_y = math.log(y)
@@ -865,28 +872,35 @@ def _laplace_series(y: float, m: ChannelModel) -> float:
     if not done.any():
         # terms that still grow at the last row can grow on to meet the
         # misalignment pole, so an unfinished sum is no bound on the rest
-        return math.nan
+        return math.nan, math.nan
     last = done.argmax()
     val, peak, tail = sums[last], mag[: last + 1].max(), 0.0
+    slope = -(p[: last + 1] * terms[: last + 1]).sum()
     if m.pointing is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             pole = e_neg * np.exp(special.gammaln(m.xi2 + 1.0) - m.xi2 * ln_y)
-        val, peak = val + pole, max(peak, abs(pole))
+        val, peak, slope = val + pole, max(peak, abs(pole)), slope - m.xi2 * pole
         if not complete:
             tail = abs(pole)  # its partner, the row the table was cut at, is missing
     if not 0.0 < val < math.inf:
-        return 0.0 if peak == 0.0 else math.nan  # 0 once every term underflowed
-    return float(val) if _series_accepts(1.0, tail / val, peak / val, _SERIES_TOL) else math.nan
+        # 0 once every term underflowed
+        return (0.0, 0.0) if peak == 0.0 else (math.nan, math.nan)
+    if not _series_accepts(1.0, tail / val, peak / val, _SERIES_TOL):
+        return math.nan, math.nan
+    return float(val), float(slope)
 
 
-def _laplace_rule(y: float, m: ChannelModel) -> float:
-    """E[exp(-s I)] at y = s A0 by the exp-sinh rule over the gamma-gamma density.
+def _laplace_rule(y: float, m: ChannelModel):
+    """E[exp(-s I)] and y d/dy of it, y = s A0, by the exp-sinh rule over the gamma-gamma density.
 
     The integrand is f_a(t) times exp(-y t), or with pointing its mean
     over W = I_p/A0 ~ Beta(xi2, 1), E[exp(-y t W)] = 1F1(xi2; xi2+1; -y t).
     The nodes are centred where the mass lies: about 1/y when the density's
     origin power min(a, b) - 1 governs, and about 1 when xi2 < min(a, b),
     where the misalignment pole's y^-xi2 holds the mass at the bulk of f_a.
+    The slope takes no further special function: y d/dy exp(-y t) is
+    -y t exp(-y t), and integrating E[exp(-z W)] by parts in W gives
+    z d/dz 1F1(xi2; xi2+1; -z) = xi2 (exp(-z) - 1F1(xi2; xi2+1; -z)).
     """
     low = min(m.alpha, m.beta)
     scale = 1.0 if m.xi2 < low else low / (low + y)
@@ -896,27 +910,36 @@ def _laplace_rule(y: float, m: ChannelModel) -> float:
     # where kve overflows, at the lowest nodes of a large |a - b|, the
     # density's share is below t^min(a, b) there: those nodes count as nil
     ln_f[~np.isfinite(ln_f)] = -np.inf
+    z = y * t
     if m.pointing is None:
-        return float(np.exp(ln_f - y * t).sum())
-    return float((np.exp(ln_f) * special.hyp1f1(m.xi2, m.xi2 + 1.0, -y * t)).sum())
+        terms = np.exp(ln_f - z)
+        return float(terms.sum()), -float((z * terms).sum())
+    f = np.exp(ln_f)
+    mean_w = special.hyp1f1(m.xi2, m.xi2 + 1.0, -z)
+    return float((f * mean_w).sum()), m.xi2 * float((f * (np.exp(-z) - mean_w)).sum())
+
+
+def _laplace_at(s: float, m: ChannelModel):
+    """E[exp(-s I)] and s d/ds of it at a finite s > 0, from one pass.
+
+    The residue series in 1/(s A0) takes both where its guard accepts the
+    value, large s; the exp-sinh rule takes the rest, and all of it when
+    the series is singular.
+    """
+    y = s * m.a0
+    try:
+        out = _laplace_series(y, m)
+    except SingularOrderError:
+        out = math.nan, math.nan
+    return _laplace_rule(y, m) if math.isnan(out[0]) else out
 
 
 def mean_exp_neg(s: float, m: ChannelModel) -> float:
-    """E[exp(-s I)], the Laplace transform of the irradiance law.
-
-    The residue series in 1/(s A0) takes it where its guard accepts,
-    large s; the exp-sinh rule takes the rest, and all of it when the
-    series is singular.
-    """
+    """E[exp(-s I)], the Laplace transform of the irradiance law; _laplace_at's value."""
     if not s >= 0:
         raise ValueError(f"s must be >= 0, got {s}")
     if s == 0.0:
         return 1.0
     if s == math.inf:
         return 0.0  # P(I = 0)
-    y = s * m.a0
-    try:
-        val = _laplace_series(y, m)
-    except SingularOrderError:
-        val = math.nan
-    return _laplace_rule(y, m) if math.isnan(val) else val
+    return _laplace_at(s, m)[0]

@@ -42,7 +42,7 @@ from fso_adapt.channel import (
 from fso_adapt.specfun import SeriesConfig
 
 from conftest import NEAR_POLE_JITTER_M, reference_model
-from oracle import excess_inv_tight, log_excess_tight, tail_tight
+from oracle import excess_inv_tight, laplace_tight, log_excess_tight, tail_tight
 
 
 # required-SNR spot references (dB) for a 1e-3 average BER target,
@@ -548,9 +548,10 @@ class TestSweepPasses:
 
     def test_sweep_square_work_budget(self, models, policy, monkeypatch):
         # one sweep square, the six models at 0 to 30 dB in steps of 6: at
-        # most 1,800 gamma-gamma density evaluations and 8.8 passes over
+        # most 1,400 gamma-gamma density evaluations and 8.8 passes over
         # the law a row (2,696 and 10.5 before the tail rule's node cap and
-        # the carried functionals), the same on every run
+        # the carried functionals, 1,711 before its narrow layers skipped
+        # the nodes past their cap), the same on every run
         counts = {"passes": 0, "densities": 0}
         law_at, ln_pdf = channel._law_at, channel._gg_ln_pdf
 
@@ -576,7 +577,7 @@ class TestSweepPasses:
             runs.append(dict(counts))
         rows = len(models) * 6
         assert runs[0] == runs[1]
-        assert runs[0]["densities"] <= 1800 * rows
+        assert runs[0]["densities"] <= 1400 * rows
         assert runs[0]["passes"] <= 8.8 * rows
 
 
@@ -771,17 +772,56 @@ class TestRequiredSnr:
         assert ase_limit(snr, policy, m).ase_bits == pytest.approx(2.0, abs=1e-8)
 
     def test_table2_cells_stay_on_the_series(self, models, policy, monkeypatch):
-        # the cutoff search and the SNR at its root make no quadrature
+        # the cutoff search and the SNR at its root make no quadrature, nor
+        # does the fixed-rate solve
         calls = counting_quad(monkeypatch)
         for m in models.values():
             for rb in (2.0, 4.0, 6.0, 8.0, 10.0):
                 adaptive_required_snr(rb, policy, m)
+                fixed_required_snr(rb, policy.target_ber, m)
         assert calls == []
 
     def test_fixed_rate_outside_snr_window(self, models):
         # at BER 1e-12, 8 bits over strong turbulence need more than 90 dB
         with pytest.raises(SolverBracketError, match=r"outside \[-20, 90\] dB"):
             fixed_required_snr(8.0, 1e-12, models["strong_gg"])
+
+    @pytest.mark.parametrize("rb", [1100.0, 1e-300])
+    def test_fixed_rate_extremes_outside_snr_window(self, models, rb):
+        # M = 2^1100 overflows a float, and 2^1e-300 - 1 rounds to 0;
+        # ln(M - 1) in log form places both roots outside the window
+        with pytest.raises(SolverBracketError, match=r"outside \[-20, 90\] dB"):
+            fixed_required_snr(rb, 1e-3, models["weak_gg"])
+
+    @pytest.mark.parametrize(
+        "key,ber,rb",
+        [
+            *((k, ber, rb) for k in MODEL_KEYS
+              for ber, rb in [(1e-2, 2.0), (1e-3, 4.0), (1e-6, 8.0), (1e-9, 10.0)]),
+            # sigma_R^2 = 1.346 without pointing: the steps run 8.3, then
+            # 1.46, and a stop read off them before Newton converges
+            # quadratically would leave 2.7e-11
+            ("gg_1.346", 3.3810023002884835e-09, 5.761429386677567),
+            *((k, ber, 4.0) for k in ODD_POLES for ber in (1e-3, 1e-6)),
+        ],
+    )
+    def test_fixed_root_matches_tight_oracle(self, models, key, ber, rb):
+        # the oracle's own root of ln E[exp(-sI)] = ln(BER/0.2) in u = ln s,
+        # s = 1.5 SNR / (M - 1): the solve's error in u, times
+        # max(1, |d ln E[exp(-sI)] / du|), is at most its 2.3e-11, a tenth
+        # of brentq's 1e-9 dB
+        m = models.get(key) or ODD_POLES.get(key) or reference_model(1.3460540935048688, False)
+        ln_spend = math.log(1.5 / (2.0**rb - 1.0))
+        snr = fixed_required_snr(rb, ber, m)
+        u = math.log(snr.snr_linear) + ln_spend
+        ln_target = math.log(ber / 0.2)
+        root = brentq(
+            lambda v: math.log(laplace_tight(math.exp(v), m)) - ln_target,
+            u - 1e-8, u + 1e-8, xtol=1e-14, rtol=1e-15,
+        )
+        val, slope = channel._laplace_at(math.exp(root), m)
+        assert abs(u - root) * max(1.0, -slope / val) <= 2.3e-11
+        assert snr.snr_db == pytest.approx(10.0 * (root - ln_spend) / math.log(10.0), abs=1e-10)
 
     @pytest.mark.parametrize("rb", [40.0, 1e-4, 1000.0])
     def test_outside_snr_window(self, models, policy, monkeypatch, rb):
@@ -841,12 +881,24 @@ class TestRequiredSnr:
         assert key in ODD_POLES or len(cutoffs) <= 5
 
     def test_makes_no_brentq_call(self, models, policy, monkeypatch):
+        # neither half of a published cell calls brentq, and the fixed-rate
+        # half takes at most 5 passes of the Laplace transform
         def refuse(*args, **kwargs):
             raise AssertionError("brentq called")
 
+        passes = []
+
+        def counting(*args):
+            passes.append(args)
+            return channel._laplace_at(*args)
+
         monkeypatch.setattr(adapt, "brentq", refuse)
+        monkeypatch.setattr(adapt, "_laplace_at", counting)
         for key, rb in PUBLISHED_CELLS:
             adaptive_required_snr(rb, policy, models[key])
+            passes.clear()
+            fixed_required_snr(rb, policy.target_ber, models[key])
+            assert len(passes) <= 5, (key, rb)
 
 
 class TestBerGuarantee:

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import kv
 from scipy.stats import kstest
 
+from fso_adapt import channel
 from fso_adapt.channel import (
     ChannelModel,
     LinkGeometry,
@@ -14,6 +15,9 @@ from fso_adapt.channel import (
     TurbulenceParams,
     Variant,
     _gg_mellin,
+    _laplace_at,
+    _laplace_rule,
+    _laplace_series,
     _law_at,
     beam_waist_at_rx,
     composite_cdf,
@@ -734,6 +738,37 @@ def test_tail_rule_node_cap(models, key):
     assert_tail_cap(law_model(models, key))
 
 
+@pytest.mark.parametrize("key", [k for k in LAW_KEYS if not k.endswith("_gg")])
+def test_tail_rule_skips_only_nil_nodes(models, key):
+    # a narrow layer's nodes past z - z0 = 800 are not evaluated: taken at
+    # that cap, as the rule once took them, each adds exactly 0, and the
+    # layered density's rule equals the sum over every node bit for bit
+    m = law_model(models, key)
+    sab = math.sqrt(m.alpha * m.beta)
+    specs = channel._law_plan(m)[0]
+    clamped = 0
+    for lo in (np.geomspace(1e-8, 1e3, 45), np.geomspace(1.0, 1e3, 12)):
+        n = channel._NODES_ABOVE_A0 if lo.min() >= 1.0 else channel._NODES_BELOW_A0
+        v, weights = channel._laguerre(n)
+        cap = 2.0 * np.log(np.sqrt(lo) + 400.0 / sab)[:, None]
+        for j, e, layered in specs.values():
+            if not e:
+                continue
+            narrow = e > sab * np.sqrt(lo)
+            ln_t = np.log(lo)[:, None] + v / e
+            past = (ln_t > cap) & narrow[:, None]
+            ln_t = np.minimum(ln_t, cap)
+            ln_f = channel._gg_ln_pdf(np.exp(ln_t), m.turbulence) + (1 - j) * ln_t - math.log(e)
+            terms = weights * np.exp(ln_f)
+            assert (terms[past] == 0.0).all(), (j, e, n)
+            clamped += past.sum()
+            if layered:
+                need = np.ones((1, len(lo)), dtype=bool)
+                rule = channel._tail_rule(lo, m, [(j, e, layered)], need)[0]
+                np.testing.assert_array_equal(rule[narrow], terms.sum(axis=-1)[narrow])
+    assert clamped > 0
+
+
 class TestSharedPass:
     @pytest.mark.parametrize("key", LAW_KEYS)
     def test_each_functional_as_if_alone(self, models, key):
@@ -787,3 +822,45 @@ def test_laplace_series_next_to_an_integer_shape_gap(alpha, beta, s):
     # share the cosecant of alpha - beta
     m = ChannelModel(TurbulenceParams(alpha=alpha, beta=beta, rytov_var=1.0))
     assert mean_exp_neg(s, m) == pytest.approx(laplace_tight(s, m), rel=1e-12, abs=0)
+
+
+# the six reference models and 1 mm jitter (xi2 = 317) at sigma_R^2 = 0.4
+LAPLACE_KEYS = [*LAW_KEYS[:6], "weak_pe_1mm"]
+
+
+def laplace_model(models, key):
+    return models[key] if key in models else reference_model(0.4, True, 0.001)
+
+
+class TestLaplacePass:
+    @pytest.mark.parametrize("key", LAPLACE_KEYS)
+    def test_value_and_slope_are_one_routes(self, models, key):
+        # s = 1e-2 to 1e6 takes both routes; the pass's value is
+        # mean_exp_neg's, and value and slope come from the series where
+        # its guard accepts, else from the exp-sinh rule
+        m = laplace_model(models, key)
+        routes = set()
+        for s in np.logspace(-2.0, 6.0, 33):
+            out = _laplace_at(s, m)
+            assert out[0] == mean_exp_neg(s, m)
+            series = _laplace_series(s * m.a0, m)
+            route = "rule" if math.isnan(series[0]) else "series"
+            assert out == (series if route == "series" else _laplace_rule(s * m.a0, m))
+            assert out[1] < 0.0
+            routes.add(route)
+        assert routes == {"series", "rule"}
+
+    @pytest.mark.parametrize("key", LAPLACE_KEYS)
+    def test_slope_matches_difference_of_tight_oracle(self, models, key):
+        # s d/ds E[exp(-sI)] against the five-point centred difference of
+        # the tight oracle in ln s, on both routes.  Its step h is 1e-2 over
+        # the log-slope k = |s L'/L|, at most 1e-2: at large s, L ~ s^-k and
+        # the difference's error is about (h k)^4 / 30 of the slope; the
+        # oracle's 1e-13 costs about 1e-13 / (h k) of it.
+        m = laplace_model(models, key)
+        for s in np.logspace(-2.0, 6.0, 9):
+            val, slope = _laplace_at(s, m)
+            h = 1e-2 / max(1.0, abs(slope / val))
+            f = [laplace_tight(s * math.exp(k * h), m) for k in (-2, -1, 1, 2)]
+            diff = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+            assert slope == pytest.approx(diff, rel=1e-8, abs=0), s

@@ -211,6 +211,15 @@ class TestRequiredSnrCommand:
         assert rows[2] == ["40"] + ["nan"] * 8
         assert "rb_bits=40" in err
 
+    def test_rate_past_float_range_is_a_failed_row(self, capsys):
+        # M = 2^2000 overflows a float: the fixed-rate solve raises its
+        # window's typed error, so only that row fails
+        code, out, err = run_cli(["required-snr", "--targets", "2,2000"], capsys)
+        assert code == EXIT_NUMERIC
+        assert read_csv(out)[2] == ["2000"] + ["nan"] * 8
+        assert "rb_bits=2000 failed: fixed-rate SNR outside [-20, 90] dB" in err
+        assert "numerical error" not in err
+
     def test_narrow_jitter(self, capsys):
         # xi2 = 317 at sigma_r2 = 0.4: the fixed-rate bracket needs the
         # Laplace transform near 1 at small s, not an underflowed 0

@@ -8,8 +8,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "fso_adapt"
 
 # the residue series, its guard, the series-or-rule router, the tail rule
-# and its node cap, the per-model law constants and the rational E[1/I]
-# are channel's own building blocks
+# and its node cap, the per-model law constants, the rational E[1/I] and
+# the Laplace transform's two routes are channel's own building blocks
 ENGINE = {
     "_residue_series",
     "_series_accepts",
@@ -21,6 +21,8 @@ ENGINE = {
     "_SERIES_TOL",
     "_inv_moment",
     "_misalignment",
+    "_laplace_series",
+    "_laplace_rule",
 }
 
 
@@ -42,4 +44,4 @@ def test_no_series_engine_import(module):
 
 def test_adapt_reads_the_law_from_channel():
     # the check above sees the imports it is meant to see
-    assert {"_law_at", "_mean_log_irradiance"} <= channel_imports(SRC / "adapt.py")
+    assert {"_law_at", "_laplace_at", "_mean_log_irradiance"} <= channel_imports(SRC / "adapt.py")

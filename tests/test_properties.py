@@ -18,6 +18,7 @@ from fso_adapt.adapt import (
     ase_limit,
     ase_series,
     discrete_ase,
+    fixed_required_snr,
     solve_cutoff_continuous,
     solve_cutoff_discrete,
 )
@@ -267,3 +268,33 @@ def test_adaptive_required_snr_round_trips(sigma_r2, jitter_m, pointing, rb):
             return
     assert math.isfinite(snr.snr_db) and law.call_count <= 12, (m, rb, law.call_count)
     assert abs(ase_limit(snr, policy, m).ase_bits - rb) <= 1e-8, (m, rb, snr)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(*model_box, st.floats(math.log(1e-12), math.log(0.19)), st.floats(0.1, 16.0))
+# 10 cm jitter: xi2 = 0.54, so E[1/I] is infinite and the window's 90 dB
+# end is the bracket's upper end
+@example(15.0, 0.1, True, math.log(1e-3), 2.0)
+@example(2.0, 0.1, True, math.log(1e-6), 1.0)
+def test_fixed_required_snr_over_the_box(sigma_r2, jitter_m, pointing, log_ber, rb):
+    """The fixed-rate SNR is typed or finite, rises in rb and meets the BER target.
+
+    Where it is finite, E[exp(-sI)] at its s = 1.5 SNR / (M - 1) is
+    BER/0.2 to 1e-10, relative.
+    """
+    m = reference_model(sigma_r2, pointing, jitter_m)
+    ber = math.exp(log_ber)
+    snrs = []
+    for r in (rb, 1.25 * rb):
+        try:
+            snr = fixed_required_snr(r, ber, m)
+        except SolverBracketError as exc:
+            assert "outside [-20, 90] dB" in str(exc), (m, r, ber, exc)
+            snrs.append(None)
+            continue
+        assert math.isfinite(snr.snr_db) and -20.0 <= snr.snr_db <= 90.0, (m, r, ber, snr)
+        s = 1.5 * snr.snr_linear / math.expm1(r * LN2)
+        assert math.isclose(mean_exp_neg(s, m), ber / 0.2, rel_tol=1e-10), (m, r, ber, snr)
+        snrs.append(snr.snr_db)
+    if None not in snrs:
+        assert snrs[1] > snrs[0], (m, rb, ber, snrs)
