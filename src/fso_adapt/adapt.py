@@ -54,12 +54,30 @@ __all__ = [
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
 # the fixed-rate solve in u = ln s: the error it leaves (a tenth of
-# 1e-9 dB), the steps of its quadratic regime, the least step it takes,
-# and the largest u whose s is a float
+# 1e-9 dB), the least step or bracket it takes, and the largest u whose
+# s is a float
 _FIXED_TOL = 2.3e-11
-_FIXED_NEAR = 1e-5
 _FIXED_STOP = 1e-10
 _LN_S_MAX = 709.0
+# the steps of Newton's quadratic regime, relative to the iterate's scale
+_NEWTON_NEAR = 1e-5
+
+
+def _newton_stop(step, last, tol, scale=1.0):
+    """The error of the iterate plus step, as Newton's last two steps predict it; None above tol.
+
+    Near a simple root of g a Newton step d leaves an error of about
+    C d^2, C = g''/(2 g'), and the step before gives C as -d / d_prev^2,
+    so the iterate plus d lies about -d^3 / d_prev^2 past the root.  The
+    prediction is trusted only in the quadratic regime, once |d| is at
+    most _NEWTON_NEAR scale.  A step of at most tol stops the solve too:
+    its own error, C d^2, is below rounding, and reads 0.
+    """
+    if last and abs(step) <= _NEWTON_NEAR * scale:
+        err = -step**3 / last**2
+        if abs(err) <= tol:
+            return err
+    return 0.0 if abs(step) <= tol else None
 
 
 class SolverBracketError(RuntimeError):
@@ -111,9 +129,13 @@ class SnrSpec:
 class AdaptiveSolution:
     """Solved cutoff with the resulting spectral efficiency and diagnostics.
 
-    iterations counts the evaluations of the constraint that the solve
+    iterations counts the passes over the constraint that the solve
     made, each at a distinct point: any walk to a start and every Newton
-    step.
+    step.  A Newton solve returns its last pass's point plus that pass's
+    step, where it makes no pass, so constraint_residual is then the
+    residual predicted there, second order in that step (see
+    _newton_stop); the discrete solve's bracket stop returns its last
+    pass's point and residual.
     """
 
     cutoff: float
@@ -208,44 +230,60 @@ def solve_cutoff_continuous(
     in [0, 1], and lies between x - E[1/I] and x, so h(t + E[1/I]) >= t
     and Newton from there falls monotonically onto the unique root; when
     E[1/I] is infinite the start walks up from 2t until h >= t.  Each step
-    takes h and its slope from one pass over the law, and the solve stops
-    once a step is at most 1e-14 x or not positive.
+    takes h and its slope from one pass over the law.  The solve stops on
+    the pass whose step d leaves a predicted error of at most 1e-14 x
+    (see _newton_stop), or whose step is at most that or not positive,
+    and returns that iterate plus d without a pass there.
     """
     return _newton_continuous(snr, policy, m)[0]
 
 
-def _newton_continuous(snr, policy, m, then=(), cfg=None):
-    """solve_cutoff_continuous's Newton solve, and the functionals then at its cutoff.
+def _newton_continuous(snr, policy, m, cfg=None):
+    """solve_cutoff_continuous's Newton solve, and with series settings cfg the ASE at its cutoff.
 
-    then, names of _law_at that the caller needs next, is taken with the
-    series settings cfg.  The pass after a step of at most 1e-6 x is
-    likely the last, so when cfg is the default, which the constraint's
-    passes use, that pass carries then; when the solve stops on a pass
-    that did not, then takes one pass of its own.  Returns (solution,
-    then's values).
+    The ASE functional E[(ln(I/c))^+] in nats is read on the last pass
+    and carried to the cutoff returned by its first derivative in ln c,
+    -(1 - F(c)), from the same pass; the remainder is second order in
+    the last step.  A pass carries it when cfg is the default, which the
+    constraint's passes use, and the pass before predicts that it stops
+    the solve: the step after d is C d^2, with C = -d / d_prev^2 as in
+    _newton_stop, and on the first step C = h''/(2 h') = c^2 f(c) / (2 (1 - F(c)))
+    with c f(c) taken as p F(c), p = min(a, b, xi2) the power of F at
+    the origin.  Otherwise the functional takes one pass of its own at
+    the cutoff.  Returns (solution, ASE in nats, or None without cfg).
     """
     t = policy.k_margin * snr.snr_linear
     x = t + _mean_inv_irradiance(m)
     walk = not math.isfinite(x)
-    x, carry = 2.0 * t if walk else x, ()
-    fold = then if cfg == SeriesConfig() else ()
+    x, last, carry = 2.0 * t if walk else x, 0.0, ()
+    fold = ("log",) if cfg == SeriesConfig() else ()
+    origin = min(m.alpha, m.beta, m.xi2)
     for evals in range(1, 201):
         c = 1.0 / x
         sf, inv, *rest = _law_at(np.array([c]), m, "sf", "inv", *carry)[:, 0].tolist()
         h = sf / c - inv
         walk = walk and h < t
         if walk:
-            x_next = 2.0 * x
-        elif h - t > 1e-14 * x * sf:
-            x_next = x - (h - t) / sf
-        else:
-            if then and not carry:
-                rest = _law_at(np.array([c]), m, *then, cfg=cfg)[:, 0].tolist()
+            x *= 2.0
+            continue
+        # Newton only lowers x; a step that would not is the rounding floor
+        step = (t - h) / sf if h > t else 0.0
+        err = _newton_stop(step, last, 1e-14 * x, x)
+        if err is not None:
+            nats = None
+            if carry:
+                # ln c falls by log1p(step / x)
+                nats = rest[0] + sf * math.log1p(step / x)
+            elif cfg is not None:
+                nats = float(_law_at(np.array([1.0 / (x + step)]), m, "log", cfg=cfg)[0, 0])
             sol = AdaptiveSolution(
-                cutoff=c, ase_bits=math.nan, constraint_residual=h - t, iterations=evals
+                cutoff=1.0 / (x + step), ase_bits=math.nan, constraint_residual=sf * err,
+                iterations=evals,
             )
-            return sol, rest
-        x, carry = x_next, fold if abs(x_next - x) <= 1e-6 * x else ()
+            return sol, nats
+        curv = step / last**2 if last else origin * (1.0 - sf) * c / (2.0 * sf)
+        then = _newton_stop(curv * step**2, step, 1e-14 * x, x) is not None
+        x, last, carry = x + step, step, fold if then else ()
     raise SolverBracketError(_NO_UPPER_END if walk else _NO_CONVERGENCE)
 
 
@@ -264,10 +302,12 @@ def ase_limit(
 ) -> AdaptiveSolution:
     """Maximum average spectral efficiency of the continuous-rate policy.
 
-    The cutoff solve's confirming pass carries the ASE functional; with
-    series settings other than the defaults it takes a pass of its own.
+    The cutoff solve's last pass carries the ASE functional to the cutoff
+    by its slope; with series settings other than the defaults, or when
+    the solve stops on a pass that did not carry it, it takes a pass of
+    its own there.
     """
-    sol, (nats,) = _newton_continuous(snr, policy, m, ("log",), cfg or SeriesConfig())
+    sol, nats = _newton_continuous(snr, policy, m, cfg or SeriesConfig())
     return replace(sol, ase_bits=max(nats / LN2, 0.0))
 
 
@@ -307,7 +347,7 @@ def discrete_power(i: float, region_m: int, policy: BerPolicy) -> float:
 
 
 def _discrete_constraint(cutoff: float, m: ChannelModel, cset: ConstellationSet, *then):
-    """Power P the ladder spends at the cutoff, and x dP/dx in x = 1/cutoff, from one pass.
+    """Ladder power P at the cutoff, x dP/dx in x = 1/cutoff and the edges' density, from one pass.
 
     Summed by parts, each edge's tail E[1/I; I >= edge] enters P once with
     its step in spend; each tail grows in x at the rate f(edge)/x.  The
@@ -316,7 +356,7 @@ def _discrete_constraint(cutoff: float, m: ChannelModel, cset: ConstellationSet,
     """
     inv, pdf, *rest = _law_at(cset.bounds(cutoff), m, "inv", "pdf", *then)
     steps = cset.spend[1:] - cset.spend[:-1]
-    return float(steps @ inv), float(steps @ pdf), *rest
+    return float(steps @ inv), float(steps @ pdf), pdf, *rest
 
 
 def solve_cutoff_discrete(
@@ -339,17 +379,24 @@ def solve_cutoff_discrete(
     is the lower end of the bracket that every evaluation narrows, and
     Newton starts at twice it.  A step that leaves the bracket goes to 4
     times its lower end while it has no upper one, and to the geometric
-    mean of its ends once it has.  The solve stops once a step is at most
-    1e-14 x or the bracket is narrower than 4e-14 of its lower end.
+    mean of its ends once it has.  The solve stops on the pass whose step
+    d leaves a predicted error of at most 1e-14 x (see _newton_stop), or
+    whose step is at most that, and returns that iterate plus d without a
+    pass there; it also stops at the iterate once the bracket is narrower
+    than 4e-14 of its lower end.
     """
     return _newton_discrete(snr, policy, m, cset or ConstellationSet())[0]
 
 
-def _newton_discrete(snr, policy, m, cset, then=(), cfg=None):
-    """solve_cutoff_discrete's Newton solve, and the functionals then at the ladder's edges.
+def _newton_discrete(snr, policy, m, cset, cfg=None):
+    """solve_cutoff_discrete's Newton solve, and with series settings cfg F at its ladder's edges.
 
-    then is taken as in _newton_continuous, at the edges of the cutoff
-    found.  Returns (solution, then's values).
+    F at each edge is read on the last pass and carried to the edges of
+    the cutoff returned by its first derivative, the density at the
+    edge, from the same pass; the remainder is second order in the last
+    step.  Which pass carries it is chosen as in _newton_continuous, but
+    only from the last two steps.
+    Returns (solution, F at the edges, or None without cfg).
     """
     saturation = cset.spend[-1] * _mean_inv_irradiance(m)
     if policy.k_margin * snr.snr_linear >= saturation:
@@ -361,25 +408,37 @@ def _newton_discrete(snr, policy, m, cset, then=(), cfg=None):
     t = policy.k_margin * snr.snr_linear
     m1 = cset.sizes[1]
     lo = max(t, math.sqrt(m1 * t / moment(1, m)), (m1 * m1 * t / moment(2, m)) ** (1.0 / 3.0))
-    hi, x, carry = math.inf, 2.0 * lo, ()
-    fold = then if cfg == SeriesConfig() else ()
+    hi, x, last, carry = math.inf, 2.0 * lo, 0.0, ()
+    fold = ("cdf",) if cfg == SeriesConfig() else ()
     for evals in range(1, 201):
-        p, slope, *rest = _discrete_constraint(1.0 / x, m, cset, *carry)
+        p, slope, pdf, *rest = _discrete_constraint(1.0 / x, m, cset, *carry)
         lo, hi = (x, hi) if p < t else (lo, x)
         step = math.nan  # P and its slope are 0 only past the law's support
         if p > 0.0 and slope > 0.0:
             # Newton on ln P - ln t in ln x, its exponent capped below overflow
             step = x * math.expm1(min(math.log(t / p) * p / slope, 700.0))
-        if abs(step) <= 1e-14 * x or hi - lo <= 4e-14 * lo:
-            if then and not carry:
-                rest = _law_at(cset.bounds(1.0 / x), m, *then, cfg=cfg)
+        err = _newton_stop(step, last, 1e-14 * x, x)
+        if err is None and hi - lo <= 4e-14 * lo:
+            step, err = 0.0, (p - t) / slope * x  # the bracket stop: this pass's residual
+        if err is not None:
+            cdf = None
+            if carry:
+                # each edge M/x moves by M (1/(x + step) - 1/x)
+                cdf = rest[0] - pdf * cset.bounds(step / (x * (x + step)))
+            elif cfg is not None:
+                cdf = _law_at(cset.bounds(1.0 / (x + step)), m, "cdf", cfg=cfg)[0]
             sol = AdaptiveSolution(
-                cutoff=1.0 / x, ase_bits=math.nan, constraint_residual=p - t, iterations=evals
+                cutoff=1.0 / (x + step), ase_bits=math.nan,
+                constraint_residual=slope * err / x, iterations=evals,
             )
-            return sol, rest
-        in_bracket = lo < x + step < hi
-        x_next = x + step if in_bracket else 4.0 * lo if hi == math.inf else math.sqrt(lo * hi)
-        x, carry = x_next, fold if abs(x_next - x) <= 1e-6 * x else ()
+            return sol, cdf
+        x_next = x + step
+        if lo < x_next < hi:
+            # the step after this one, as in _newton_continuous
+            then = last != 0.0 and _newton_stop(step**3 / last**2, step, 1e-14 * x, x) is not None
+            x, last, carry = x_next, step, fold if then else ()
+        else:
+            x, last, carry = 4.0 * lo if hi == math.inf else math.sqrt(lo * hi), 0.0, ()
     raise SolverBracketError(_NO_UPPER_END if hi == math.inf else _NO_CONVERGENCE)
 
 
@@ -392,12 +451,13 @@ def discrete_ase(
 ) -> AdaptiveSolution:
     """Average spectral efficiency achieved by the finite constellation ladder.
 
-    The cutoff solve's confirming pass carries the distribution function
-    at the ladder's edges; with series settings other than the defaults
-    it takes a pass of its own.
+    The cutoff solve's last pass carries the distribution function at the
+    ladder's edges to the cutoff by its slope; with series settings other
+    than the defaults, or when the solve stops on a pass that did not
+    carry it, it takes a pass of its own there.
     """
     cset = cset or ConstellationSet()
-    sol, (cdf,) = _newton_discrete(snr, policy, m, cset, ("cdf",), cfg or SeriesConfig())
+    sol, cdf = _newton_discrete(snr, policy, m, cset, cfg or SeriesConfig())
     # summed by parts: each edge adds its step in bits times P(I >= edge)
     survival = 1.0 - np.clip(cdf, 0.0, 1.0)
     return replace(sol, ase_bits=float(np.diff(cset.bits) @ survival))
@@ -423,11 +483,10 @@ def fixed_required_snr(target_rb: float, target_ber: float, m: ChannelModel) -> 
     bisects it in u; while the upper end is the window's, which no bound
     proves, that end is tried first, and g >= 0 there raises.
 
-    The stop: near the root a Newton step d leaves an error of about
-    C d^2 in u, C = |g''/(2 g')|, and the last two steps give C as
-    |d| / d_prev^2.  Once a step is at most 1e-5, in the quadratic
-    regime, the solve returns the iterate plus that step if
-    |d|^3 / d_prev^2 max(1, |g'|) is at most 2.3e-11: a tenth of brentq's
+    The stop is _newton_stop's in u: once a step d is at most 1e-5, in
+    the quadratic regime, the solve returns the iterate plus d if the
+    error it predicts, |d|^3 / d_prev^2, times max(1, |g'|) is at most
+    2.3e-11: a tenth of brentq's
     xtol of 1e-9 dB (2.3e-10 in u), and where |g'| > 1 a bound on the
     relative error of E[exp(-sI)] as well.  A step or a bracket of at
     most 1e-10 also stops it.  On the published cells C is about 0.16
@@ -468,11 +527,8 @@ def fixed_required_snr(target_rb: float, target_ber: float, m: ChannelModel) -> 
         else:
             hi, probe = u, False
         step = -g * val / slope if slope < 0.0 and g > -math.inf else math.nan
-        # the error that taking this step leaves, once Newton converges
-        # quadratically
-        near = last != 0.0 and abs(step) <= _FIXED_NEAR
-        err = abs(step**3 / last**2) * max(1.0, -slope / val) if near else math.inf
-        if err <= _FIXED_TOL or abs(step) <= _FIXED_STOP:
+        tol = _FIXED_TOL / max(1.0, -slope / val)
+        if _newton_stop(step, last, tol) is not None or abs(step) <= _FIXED_STOP:
             return SnrSpec.from_db((u + step - offset) * 10.0 / LN10)
         if hi - lo <= _FIXED_STOP:
             return SnrSpec.from_db((u - offset) * 10.0 / LN10)
@@ -497,8 +553,12 @@ def adaptive_required_snr(
     u = E[ln I] - target_rb ln 2 or above, and Newton's method from there
     falls monotonically onto the unique root.  Each step takes the limit,
     its slope and E[1/I; I >= c] from one pass over the law with the
-    given series settings, and the solve stops once a step is at most
-    1e-14 max(1, |u|); the SNR is that last pass's.  A start that
+    given series settings.  The solve stops on the pass whose step d
+    leaves a predicted error of at most 1e-14 max(1, |u|) (see
+    _newton_stop), or whose step is at most that, and returns the SNR at
+    u + d without a pass there: the pass's SNR moved by its first
+    derivative, the SNR falls by (1 - F(c)) (1/c - 1/c') / k_margin from
+    c to c' = c e^d, with a remainder second order in d.  A start that
     underflows (about 1,075 bits or more), a zero slope, 200 steps
     without convergence and answers outside [-30, 80] dB raise
     SolverBracketError.  Newton only raises c, and the SNR falls as c
@@ -512,14 +572,18 @@ def adaptive_required_snr(
     u = _mean_log_irradiance(m) - target
     if not math.exp(u) > 0:
         raise SolverBracketError(f"the cutoff for {target_rb} bits underflows a float")
+    last = 0.0
     for _ in range(200):
         c = math.exp(u)
         nats, sf, inv = _law_at(np.array([c]), m, "log", "sf", "inv", cfg=cfg)[:, 0].tolist()
         if not (sf > 0.0 and math.isfinite(nats)):
             raise SolverBracketError(f"no Newton step at the cutoff {c:.6g}: the ASE has no slope")
         snr_linear = (sf / c - inv) / policy.k_margin
-        step = (nats - target) / sf
-        done = step <= 1e-14 * max(1.0, abs(u))
+        # Newton only raises u; a step that would not is the rounding floor
+        step = max((nats - target) / sf, 0.0)
+        done = _newton_stop(step, last, 1e-14 * max(1.0, abs(u)), max(1.0, abs(u))) is not None
+        if done:
+            snr_linear += sf * math.expm1(-step) / (c * policy.k_margin)
         # the root's SNR is at most this iterate's, and at most
         # target / (k_margin c), from ln y >= 1 - 1/y
         ceiling = min(snr_linear, target / (policy.k_margin * c))
@@ -527,5 +591,5 @@ def adaptive_required_snr(
             raise SolverBracketError("adaptive-rate SNR outside [-30, 80] dB")
         if done:
             return SnrSpec.from_linear(snr_linear)
-        u += step
+        u, last = u + step, step
     raise SolverBracketError(_NO_CONVERGENCE)

@@ -875,13 +875,13 @@ def _laplace_series(y: float, m: ChannelModel):
         return math.nan, math.nan
     last = done.argmax()
     val, peak, tail = sums[last], mag[: last + 1].max(), 0.0
-    slope = -(p[: last + 1] * terms[: last + 1]).sum()
-    if m.pointing is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = -(p[: last + 1] * terms[: last + 1]).sum()
+        if m.pointing is not None:
             pole = e_neg * np.exp(special.gammaln(m.xi2 + 1.0) - m.xi2 * ln_y)
-        val, peak, slope = val + pole, max(peak, abs(pole)), slope - m.xi2 * pole
-        if not complete:
-            tail = abs(pole)  # its partner, the row the table was cut at, is missing
+            val, peak, slope = val + pole, max(peak, abs(pole)), slope - m.xi2 * pole
+            if not complete:
+                tail = abs(pole)  # its partner, the row the table was cut at, is missing
     if not 0.0 < val < math.inf:
         # 0 once every term underflowed
         return (0.0, 0.0) if peak == 0.0 else (math.nan, math.nan)
@@ -928,10 +928,13 @@ def _laplace_at(s: float, m: ChannelModel):
     """
     y = s * m.a0
     try:
-        out = _laplace_series(y, m)
+        val, slope = _laplace_series(y, m)
     except SingularOrderError:
-        out = math.nan, math.nan
-    return _laplace_rule(y, m) if math.isnan(out[0]) else out
+        val = math.nan
+    if math.isnan(val):
+        val, slope = _laplace_rule(y, m)
+    # E[exp(-sI)] is at most 1; the rule's rounding passes it at tiny s
+    return min(val, 1.0), slope
 
 
 def mean_exp_neg(s: float, m: ChannelModel) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -833,6 +834,18 @@ def laplace_model(models, key):
 
 
 class TestLaplacePass:
+    @pytest.mark.parametrize("key", ["weak_gg", "weak_pe", "moderate_gg", "moderate_pe",
+                                     "strong_gg", "strong_pe"])
+    def test_tiny_to_large_s_stays_a_probability(self, models, key):
+        # s = 1e-300 to 1e5: the series' slope and misalignment pole
+        # overflowed outside np.errstate at tiny s, and the rule's
+        # rounding put the transform up to 3e-15 above 1
+        m = models[key]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-300, 6):
+                assert 0.0 <= mean_exp_neg(10.0**k, m) <= 1.0, k
+
     @pytest.mark.parametrize("key", LAPLACE_KEYS)
     def test_value_and_slope_are_one_routes(self, models, key):
         # s = 1e-2 to 1e6 takes both routes; the pass's value is
