@@ -6,8 +6,8 @@ square-QAM simulator for validating the exponential BER bound.
 
 Determinism contract: for a fixed (seed, workers, n_samples) triple the
 results are bit-stable on any machine; per-worker streams are spawned
-from the seed, drawn concurrently on a thread pool of at most one thread
-per available CPU, and combined in worker order.
+from the seed, drawn and transformed concurrently on a thread pool of at
+most one thread per available CPU, and combined in worker order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .adapt import (
     solve_cutoff_continuous,
     solve_cutoff_discrete,
 )
-from .channel import ChannelModel, sample_irradiance
+from .channel import _SAMPLE_BLOCK, ChannelModel, sample_irradiance
 
 __all__ = [
     "McConfig",
@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 
+def _check_count(name, value):
+    """ValueError unless value is a Python or numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Sample count, seed and worker-stream count for one Monte Carlo run."""
@@ -50,6 +56,8 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
+        _check_count("n_samples", self.n_samples)
+        _check_count("workers", self.workers)
         if self.n_samples < 1_000:
             raise ValueError("n_samples below 1000 cannot support statistical claims")
         if self.workers < 1:
@@ -68,6 +76,8 @@ class QamSimConfig:
         ConstellationSet.square_qam(self.m)
         if self.m > 4096:
             raise ValueError(f"m above 4096 (64 levels per axis) is not simulated, got {self.m}")
+        SnrSpec.from_db(self.inst_snr_db)  # finite, above 0 and within float range
+        _check_count("n_symbols", self.n_symbols)
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be positive")
 
@@ -110,16 +120,30 @@ _THREADS = _cpus()
 _POOL = concurrent.futures.ThreadPoolExecutor(_THREADS, "fso-adapt-mc")
 
 
+def _stream_sums(model: ChannelModel, rng, buf, transform):
+    """Sum and sum of squares of transform(I) over one stream drawn into buf."""
+    sample_irradiance(model, rng, size=buf.size, out=buf)
+    for start in range(0, buf.size, _SAMPLE_BLOCK):
+        transform(buf[start : start + _SAMPLE_BLOCK])
+    # whole-buffer sums: numpy's pairwise order over the stream keeps the bits
+    total = float(np.sum(buf))
+    np.multiply(buf, buf, out=buf)
+    return total, float(np.sum(buf))
+
+
 def _reduce_mean(model: ChannelModel, cfg: McConfig, transform):
     """Mean and standard error of transform(I) over the configured samples.
 
-    numpy's generators release the GIL while they fill an array, so the
-    streams are drawn on the pool, at most one per pool thread ahead of
-    the sums, which bounds the buffers alive at once.  Every stream
-    buffer is allocated here, in the calling thread: glibc gives each
-    thread its own malloc arena, which keeps its peak.  ``transform`` may
-    overwrite the buffer it is given; it and the sums run here, stream by
-    stream in worker order.
+    numpy's generators and ufuncs release the GIL on arrays, so each
+    stream is drawn, transformed and summed on a pool thread, at most one
+    stream per pool thread ahead of the caller, which adds the sums in
+    worker order.  Every stream buffer is allocated here, in the calling
+    thread: glibc gives each thread its own malloc arena, which keeps its
+    peak.  The buffer is the only stream-sized array: ``transform`` must
+    be elementwise, since it is called on consecutive blocks of
+    ``_SAMPLE_BLOCK`` draws, and it overwrites each block with its values
+    in place, so its temporaries are block-sized and live on the pool
+    thread.
     """
     waiting = collections.deque(_worker_chunks(cfg))
     drawing = collections.deque()
@@ -130,13 +154,11 @@ def _reduce_mean(model: ChannelModel, cfg: McConfig, transform):
             while waiting and len(drawing) < _THREADS:
                 rng, count = waiting.popleft()
                 drawing.append(
-                    _POOL.submit(sample_irradiance, model, rng, size=count, out=np.empty(count))
+                    _POOL.submit(_stream_sums, model, rng, np.empty(count), transform)
                 )
-            vals = transform(drawing.popleft().result())
-            total += float(np.sum(vals))
-            np.multiply(vals, vals, out=vals)
-            total_sq += float(np.sum(vals))
-            del vals  # freed before the next stream's buffer is allocated
+            part, part_sq = drawing.popleft().result()
+            total += part
+            total_sq += part_sq
     except BaseException:
         # no stream may run on, or fail unread, after the call has returned
         for fut in drawing:
@@ -177,7 +199,7 @@ def estimate_ase_mc(
         np.maximum(i, 1e-300, out=i)
         i /= cutoff
         np.log2(i, out=i)
-        return np.maximum(i, 0.0, out=i)
+        np.maximum(i, 0.0, out=i)
 
     return _reduce_mean(model, cfg, bits)
 
@@ -196,7 +218,7 @@ def estimate_discrete_ase_mc(
     bounds = cset.bounds(cutoff)
 
     def bits(i):
-        return np.take(cset.bits, _region(bounds, i), out=i, mode="clip")
+        np.take(cset.bits, _region(bounds, i), out=i, mode="clip")
 
     return _reduce_mean(model, cfg, bits)
 
@@ -212,7 +234,8 @@ def simulate_qam_ber(cfg: QamSimConfig, rng: np.random.Generator):
 
     Per-axis PAM with reflected-binary labels and minimum-distance
     detection; inst_snr_db is the average symbol energy over the noise
-    power.  Returns (ber, std_error).
+    power.  Returns (ber, std_error).  Besides a chunk's int32 labels it
+    holds two float64 arrays of ``_SAMPLE_BLOCK`` symbols.
     """
     levels = int(round(math.sqrt(cfg.m)))
     bits_per_symbol = int(round(math.log2(cfg.m)))
@@ -224,32 +247,41 @@ def simulate_qam_ber(cfg: QamSimConfig, rng: np.random.Generator):
     # bit errors of each (sent, detected) level pair, at sent * levels + detected
     pair_errors = _POPCOUNT[gray[:, None] ^ gray].reshape(-1)
 
+    # the noise and received samples of one block; the noise block, once
+    # added in, holds the (sent, detected) pair index
+    noise = np.empty(min(cfg.n_symbols, _SAMPLE_BLOCK))
+    pair = noise.view(np.intp)
+    received = np.empty_like(noise)
     errors = 0
     remaining = cfg.n_symbols
     while remaining > 0:
         n = min(remaining, _CHUNK)
         remaining -= n
         for _axis in range(2):  # I and Q axes are independent and identical
-            # y = (2 tx - (L - 1)) scale + noise_std N, detected as
-            # clip(rint((y / scale + L - 1) / 2)), in place
-            tx = rng.integers(0, levels, size=n)
-            rx = 2 * tx
-            rx -= levels - 1
-            y = rx * scale
-            noise = rng.standard_normal(n)
-            noise *= noise_std
-            y += noise
-            y /= scale
-            y += levels - 1
-            y /= 2.0
-            np.rint(y, out=y)
-            np.clip(y, 0, levels - 1, out=y)
-            np.copyto(rx, y, casting="unsafe")
-            tx *= levels
-            tx += rx
-            # mode="clip": take with out= and the default "raise" fills a hidden copy
-            errors += int(np.sum(np.take(pair_errors, tx, out=rx, mode="clip")))
-            del tx, rx, y, noise  # freed before the next axis draws its own
+            # the chunk's labels in one call, drawn before its noise; int32
+            # gives the default int64's values (both bound next_uint32 draws)
+            tx = rng.integers(0, levels, size=n, dtype=np.int32)
+            for start in range(0, n, _SAMPLE_BLOCK):
+                # y = (2 tx - (L - 1)) scale + noise_std N, detected as
+                # clip(rint((y / scale + L - 1) / 2)); consecutive noise
+                # blocks are one draw of the chunk's size
+                sent = tx[start : start + _SAMPLE_BLOCK]
+                y, z, ij = received[: sent.size], noise[: sent.size], pair[: sent.size]
+                np.multiply(sent, 2.0, out=y)
+                y -= levels - 1
+                y *= scale
+                rng.standard_normal(out=z)
+                z *= noise_std
+                y += z
+                y /= scale
+                y += levels - 1
+                y /= 2.0
+                np.rint(y, out=y)
+                np.clip(y, 0, levels - 1, out=y)
+                np.multiply(sent, levels, out=ij)
+                np.add(ij, y, out=ij, casting="unsafe")
+                errors += int(np.bincount(ij, minlength=levels * levels) @ pair_errors)
+            del tx, sent  # freed before the next axis draws its own
     n_bits = cfg.n_symbols * bits_per_symbol
     ber = errors / n_bits
     return ber, math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
@@ -275,7 +307,6 @@ def audit_power_constraint(
             np.subtract(1.0 / cutoff, i, out=i)
             np.maximum(i, 0.0, out=i)
             i /= k
-            return i
 
     elif scheme == "discrete":
         cset = cset or ConstellationSet()
@@ -285,7 +316,7 @@ def audit_power_constraint(
             idx = _region(bounds, i)
             np.maximum(i, 1e-300, out=i)
             i *= k
-            return np.divide(cset.spend[idx], i, out=i)
+            np.divide(cset.spend[idx], i, out=i)
 
     else:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -26,7 +26,7 @@ from fso_adapt.mc import (
     estimate_discrete_ase_mc,
     simulate_qam_ber,
 )
-from fso_adapt import mc
+from fso_adapt import channel, mc
 
 
 class TestConfigs:
@@ -44,6 +44,40 @@ class TestConfigs:
     def test_qam_size_validation(self, bad_m):
         with pytest.raises(ValueError):
             QamSimConfig(m=bad_m, inst_snr_db=10.0, n_symbols=1000)
+
+    @pytest.mark.parametrize("db", [math.nan, -math.inf, math.inf, 4000.0, -4000.0])
+    def test_qam_snr_validation(self, db):
+        with pytest.raises(ValueError) as want:
+            SnrSpec.from_db(db)
+        with pytest.raises(ValueError) as got:
+            QamSimConfig(m=16, inst_snr_db=db, n_symbols=1000)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: McConfig(n_samples=1e5),
+            lambda: McConfig(workers=2.0),
+            lambda: McConfig(workers=True),
+            lambda: McConfig(n_samples="40000"),
+            lambda: QamSimConfig(m=16, inst_snr_db=10.0, n_symbols=1e4),
+        ],
+        ids=["float_samples", "float_workers", "bool_workers", "str_samples", "float_symbols"],
+    )
+    def test_counts_must_be_integers(self, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+    def test_numpy_integer_counts(self, models, policy):
+        m = models["weak_gg"]
+        snr = SnrSpec.from_db(10.0)
+        cfg = McConfig(n_samples=np.int64(20_000), seed=3, workers=np.int32(3))
+        want = estimate_ase_mc(snr, policy, m, McConfig(n_samples=20_000, seed=3, workers=3))
+        assert estimate_ase_mc(snr, policy, m, cfg) == want
+        qam = QamSimConfig(m=16, inst_snr_db=10.0, n_symbols=np.uint32(5_000))
+        assert simulate_qam_ber(qam, np.random.default_rng(1)) == simulate_qam_ber(
+            QamSimConfig(m=16, inst_snr_db=10.0, n_symbols=5_000), np.random.default_rng(1)
+        )
 
 
 class TestDeterminism:
@@ -98,10 +132,12 @@ class TestConcurrentStreams:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 64])
     @pytest.mark.parametrize("key", ["weak_gg", "strong_pe"])
-    def test_matches_sequential_reference(self, models, policy, key, workers):
+    def test_matches_sequential_reference(self, models, policy, monkeypatch, key, workers):
+        # up to three streams each span two full blocks and end in a partial one
+        block = channel._SAMPLE_BLOCK
         m = models[key]
         snr = SnrSpec.from_db(15.0)
-        cfg = McConfig(n_samples=100_003, seed=17, workers=workers)
+        cfg = McConfig(n_samples=3 * (2 * block + 1) + 2, seed=17, workers=workers)
         k = policy.k_margin
         cset = ConstellationSet()
         sizes = np.array(cset.sizes, dtype=float)
@@ -110,6 +146,14 @@ class TestConcurrentStreams:
         c, d = sol_c.cutoff, sol_d.cutoff
         bits_by_region = np.concatenate(([0.0], np.log2(sizes[1:])))
         m_minus_1 = np.concatenate(([0.0], sizes[1:] - 1.0))
+        transforms = []
+        reduce_mean = mc._reduce_mean
+
+        def recorded(model, cfg, transform):
+            transforms.append(transform)
+            return reduce_mean(model, cfg, transform)
+
+        monkeypatch.setattr(mc, "_reduce_mean", recorded)
 
         def region(i):
             return np.searchsorted(sizes[1:] * d, i, side="right")
@@ -136,9 +180,16 @@ class TestConcurrentStreams:
                 lambda i: m_minus_1[region(i)] / (k * np.maximum(i, 1e-300)),
             ),
         ]
-        for got, expr in cases:
+        stream = channel.sample_irradiance(m, np.random.default_rng(31), size=cfg.n_samples)
+        assert len(transforms) == len(cases)
+        for (got, expr), transform in zip(cases, transforms):
             want = _sequential_mean(m, cfg, expr)
             assert np.array(got).tobytes() == np.array(want).tobytes()
+            # element by element, the blocks give the whole-stream expression
+            vals = stream.copy()
+            for start in range(0, vals.size, block):
+                transform(vals[start : start + block])
+            assert vals.tobytes() == expr(stream).tobytes()
 
     def test_concurrent_callers_share_the_capped_pool(self, models, policy):
         cpus = mc._cpus()
@@ -355,6 +406,41 @@ class TestQamSimulator:
         assert ber == 0.0
 
 
+class TestMemory:
+    """At its peak an op holds one float64 a draw and block-sized arrays."""
+
+    @pytest.mark.parametrize(
+        "kind", ["ase", "discrete", "audit_continuous", "audit_discrete", "qam"]
+    )
+    def test_peak_is_one_float64_a_draw(self, models, policy, kind):
+        m = models["strong_pe"]
+        snr = SnrSpec.from_db(15.0)
+        cset = ConstellationSet()
+        n = 1_000_000
+        cfg = McConfig(n_samples=n, seed=24)
+        if kind == "ase":
+            cut = solve_cutoff_continuous(snr, policy, m).cutoff
+            op = lambda: estimate_ase_mc(snr, policy, m, cfg, cutoff=cut)
+        elif kind == "discrete":
+            cut = solve_cutoff_discrete(snr, policy, m, cset).cutoff
+            op = lambda: estimate_discrete_ase_mc(snr, policy, m, cset, cfg, cutoff=cut)
+        elif kind == "qam":
+            qam = QamSimConfig(m=1024, inst_snr_db=25.0, n_symbols=n)
+            op = lambda: simulate_qam_ber(qam, np.random.default_rng(24))
+        else:
+            scheme = kind.split("_")[1]
+            solve = solve_cutoff_continuous if scheme == "continuous" else solve_cutoff_discrete
+            sol = solve(snr, policy, m)
+            op = lambda: audit_power_constraint(snr, policy, m, sol, cfg, scheme, cset)
+        tracemalloc.start()
+        try:
+            op()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + (1 << 20)
+
+
 class TestPowerAudit:
     @pytest.mark.parametrize("key", ["weak_gg", "strong_pe"])
     def test_continuous_passes(self, models, policy, key):
@@ -377,23 +463,6 @@ class TestPowerAudit:
             snr, policy, m, sol, McConfig(n_samples=200_000, seed=22), scheme="discrete"
         )
         assert rep.passed
-
-    def test_discrete_region_index_takes_one_byte_a_draw(self, models, policy):
-        # at its peak the discrete audit holds the stream buffer and the
-        # per-draw rung power, 8 bytes a draw each, and the region index
-        m = models["strong_pe"]
-        snr = SnrSpec.from_db(15.0)
-        sol = solve_cutoff_discrete(snr, policy, m)
-        n = 1_000_000
-        tracemalloc.start()
-        try:
-            audit_power_constraint(
-                snr, policy, m, sol, McConfig(n_samples=n, seed=24), scheme="discrete"
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (8 + 8 + 1) * n + (1 << 20)
 
     def test_wrong_cutoff_fails(self, models, policy):
         # sensitivity check: a mis-solved cutoff must be flagged
