@@ -188,16 +188,16 @@ class ConstellationSet:
 
 def ber_bound(m: int, inst_snr: float) -> float:
     """Exponential upper bound on Gray-coded square-MQAM bit error rate."""
-    if m < 2:
+    if not m >= 2:
         raise ValueError(f"constellation size must be >= 2, got {m}")
-    if inst_snr < 0:
+    if not inst_snr >= 0:
         raise ValueError(f"inst_snr must be >= 0, got {inst_snr}")
     return 0.2 * math.exp(-1.5 * inst_snr / (m - 1.0))
 
 
 def constellation_size_law(i: float, tx_power_norm: float, policy: BerPolicy) -> float:
     """Largest constellation size meeting the BER target at the given power."""
-    if i < 0 or tx_power_norm < 0:
+    if not (i >= 0 and tx_power_norm >= 0):
         raise ValueError("i and tx_power_norm must be >= 0")
     return 1.0 + policy.k_margin * i * tx_power_norm
 
@@ -206,6 +206,8 @@ def optimal_power(i: float, cutoff: float, policy: BerPolicy) -> float:
     """Water-filling power adaptation (normalized by noise variance)."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
+    if not i >= 0:
+        raise ValueError(f"i must be >= 0, got {i}")
     if i <= cutoff:
         return 0.0
     return (1.0 / cutoff - 1.0 / i) / policy.k_margin

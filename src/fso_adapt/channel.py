@@ -99,8 +99,9 @@ class TurbulenceParams:
     rytov_var: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0 and self.rytov_var > 0):
-            raise ValueError("alpha, beta and rytov_var must all be > 0")
+        for name, v in (("alpha", self.alpha), ("beta", self.beta), ("rytov_var", self.rytov_var)):
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,8 @@ class PointingParams:
         if not (0.0 < self.a0 <= 1.0):
             # the no-misalignment limit a0 -> 1 is admitted at the boundary
             raise ValueError(f"a0 must lie in (0,1], got {self.a0}")
-        if not self.xi2 > 0:
-            raise ValueError(f"xi2 must be > 0, got {self.xi2}")
+        if not 0 < self.xi2 < math.inf:
+            raise ValueError(f"xi2 must be finite and > 0, got {self.xi2}")
 
     @property
     def xi(self) -> float:
@@ -231,40 +232,26 @@ def _gg_constants(t: TurbulenceParams):
     return ln_c, 0.5 * (a + b) - 1.0, a - b, 4.0 * a * b
 
 
-def _gg_density(t: TurbulenceParams):
-    """Gamma-gamma density of I_a as a scalar function, constants bound once.
-
-    f(x) = c x^e K_nu(z) with z = sqrt(4 a b x), evaluated in the log
-    domain through the exponentially scaled Bessel function, so neither
-    the tail nor a large order under- or overflows before the last exp.
-    K of integer order needs no special case.  Quadrature integrands call
-    this one; _gg_ln_pdf is the same formula over an array.
-    """
-    ln_c, e, nu, four_ab = _gg_constants(t)
-
-    def pdf(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        z = math.sqrt(four_ab * x)
-        k = special.kve(nu, z)
-        if not k > 0.0:
-            return 0.0
-        return math.exp(ln_c + e * math.log(x) - z + math.log(k))
-
-    return pdf
-
-
 # scipy's kve(nu, z) is NaN from z = 2^30 on; from z = 1e9 on, the density
 # and every tail of it are nil in double precision
 _Z_NIL = 1e9
 
 
-def _gg_ln_pdf(x: np.ndarray, t: TurbulenceParams) -> np.ndarray:
-    """ln f_a(x) over an array of x > 0; -inf from z = _Z_NIL on."""
+def _gg_ln_pdf(x, t: TurbulenceParams) -> np.ndarray:
+    """ln f_a(x) at x > 0, a number or an array; -inf from z = _Z_NIL on.
+
+    f(x) = c x^e K_nu(z), z = sqrt(4 a b x), through the scaled Bessel
+    function, or where that overflows (a tiny z, a large n = |nu|) through
+    K's small-argument form Gamma(n) 2^(n-1) z^-n, exact to double there.
+    """
     ln_c, e, nu, four_ab = _gg_constants(t)
     z = np.sqrt(four_ab * x)
     with np.errstate(invalid="ignore"):
         ln_f = ln_c + e * np.log(x) - z + np.log(special.kve(nu, z))
+    over, n = ln_f == np.inf, abs(nu)
+    if over.any():
+        ln_k = math.lgamma(n) + (n - 1.0) * math.log(2.0) - n * np.log(z)
+        ln_f = np.where(over, ln_c + e * np.log(x) + ln_k, ln_f)
     return np.where(z < _Z_NIL, ln_f, -np.inf)
 
 
@@ -272,7 +259,7 @@ def gg_pdf(ia: float, t: TurbulenceParams) -> float:
     """Gamma-gamma density of the turbulence fluctuation I_a."""
     if not ia >= 0:
         raise ValueError(f"ia must be >= 0, got {ia}")
-    return _gg_density(t)(ia)
+    return math.exp(_gg_ln_pdf(ia, t)) if ia > 0 else 0.0
 
 
 def _gg_mellin(s: float, t: TurbulenceParams) -> float:
@@ -369,12 +356,13 @@ def _series_table(m: ChannelModel, max_terms: int):
 
 @functools.lru_cache(maxsize=256)
 def _series_scale(m: ChannelModel, max_terms: int, orders: tuple, shifts: tuple):
-    """The residue table's coefficients over (p + shift)^order, and (xi2 + shift)^order.
+    """_series_table's tuple, then its coefficients over (p + shift)^order and (xi2 + shift)^order.
 
     One of each per (order, shift) pair, stacked as read-only (pairs, K, 2)
     and (pairs, 1) arrays, built once per (model, max_terms, pairs).
     """
-    p, coeff = _series_table(m, max_terms)[:2]
+    table = _series_table(m, max_terms)
+    p, coeff = table[:2]
     # a pole on p + shift = 0 gives an infinite term, which the series'
     # NaN hands to the tail rule
     with np.errstate(divide="ignore"):
@@ -382,62 +370,77 @@ def _series_scale(m: ChannelModel, max_terms: int, orders: tuple, shifts: tuple)
     pole = np.array([[(m.xi2 + s) ** o] for o, s in zip(orders, shifts)])
     for v in (scale, pole):
         v.setflags(write=False)
-    return scale, pole
+    return (*table, scale, pole)
 
 
-def _residue_series(c, m: ChannelModel, cfg: SeriesConfig, orders: tuple, shifts: tuple):
-    """Residue series of the composite law at cutoffs c in (0, A0], one per (order, shift).
+def _series_stops(ln_u, table, ln_w=(0.0, 0.0)):
+    """Residue series of the composite law at ln u, to where each sum stops.
 
     The Mellin transform of I = I_a I_p is the gamma-gamma transform times
     the misalignment factor xi2/(xi2+s), so every closed form is one sum
     over the gamma-gamma poles p = k + xb of both shape families,
 
-        sum_k g_k (c/A0)^p / ((1 - p/xi2) (p + shift)^order),
+        sum_k g_k u^p / ((1 - p/xi2) (p + shift)^order),
 
-    plus, with pointing, the misalignment pole E[I_a^-xi2] (c/A0)^xi2
-    xi2 / (xi2 + shift)^order.  At shift 0, order 0 is c times the
+    one per (order, shift) pair of the _series_scale table, plus, with
+    pointing, the misalignment pole E[I_a^-xi2] u^xi2 xi2 / (xi2 +
+    shift)^order.  With u = c/A0 <= 1, at shift 0 order 0 is c times the
     density, order 1 the distribution and order 2 the log-moment part of
-    E[(ln(I/c))^+]; order 1 at shift s is c^-s E[I^s; I < c].  Each sum
-    stops at the first k > 0 whose terms fall below convergence_tol of
-    it, or at max_terms.  The pairs share the exp of their terms.  Returns
-    (value, tail, peak), each shaped (pairs, *c.shape): the value, the
-    magnitude of the last term kept (0 once the sum has converged) and the
-    largest term, for _series_accepts.  A value that is not finite, or
-    whose sum runs into the row the table was cut at, comes back as NaN.
+    E[(ln(I/c))^+]; order 1 at shift s is c^-s E[I^s; I < c].  ln_w, log
+    weights of the gamma-gamma poles (a number or a table-shaped array)
+    and of the misalignment pole, multiplies each term by the exp of its
+    pole's.  Each sum stops at the first k > 0 whose terms fall below
+    convergence_tol of it, or at max_terms.  Returns (mag, sums, first,
+    table) for _series_sum, a row per (pair, cutoff): the larger family
+    term and the partial sum at each k, that k (0 if it never stops).
     """
-    p, _, ln_g, e_neg, complete = _series_table(m, cfg.max_terms)
-    scale, pole_scale = _series_scale(m, cfg.max_terms, orders, shifts)
-    xi2 = m.xi2
-    c = np.asarray(c, dtype=float)
-    shape = (len(orders), *c.shape)
-    ln_u = np.log(c.reshape(-1) / m.a0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # rows are (series, cutoff) pairs
-        terms = (scale[:, None] * np.exp(ln_g + p * ln_u[:, None, None])).reshape(-1, *p.shape)
-        idx = np.arange(len(terms))
-        # a row's k-th terms are its two shape families' (the last axis)
-        lead, trail = terms[..., 0], terms[..., 1]
-        mag = np.maximum(np.abs(lead), np.abs(trail))
-        sums = np.cumsum(lead + trail, axis=-1)
-        done = mag < cfg.convergence_tol * np.abs(sums)
-        done[:, 0] = False  # no sum stops at k = 0
-        stopped = done.any(axis=-1)
-        last = np.where(stopped, done.argmax(axis=-1), len(p) - 1)
-        val = sums[idx, last]
-        tail = np.where(stopped, 0.0, mag[:, -1])
-        peak = np.maximum.accumulate(mag, axis=-1)[idx, last]
-        # without pointing xi2 = inf and the misalignment pole is absent
-        if m.pointing is not None:
-            pole = (e_neg * np.exp(xi2 * ln_u) * xi2 / pole_scale).reshape(-1)
-            val = val + pole
-            if not complete:
-                # near a double pole, this one's partner is the row the
-                # table was cut at: a sum that reaches that row has no
-                # value, and any other is off by about the pole's size
-                val[~stopped] = np.nan
-                tail = np.maximum(tail, np.abs(pole))
-    val = np.where(np.isfinite(val), val, np.nan)
-    return val.reshape(shape), tail.reshape(shape), peak.reshape(shape)
+    p, _, ln_g, _, _, scale, _ = table
+    ln_terms = ln_g + ln_w[0] + p * ln_u[:, None, None]
+    terms = (scale[:, None] * np.exp(ln_terms)).reshape(-1, *p.shape)
+    size = np.abs(terms)
+    mag = np.maximum(size[..., 0], size[..., 1])
+    sums = np.add.accumulate(terms[..., 0] + terms[..., 1], axis=-1)
+    done = mag < SeriesConfig.convergence_tol * np.abs(sums)
+    done[:, 0] = False  # no sum stops at k = 0
+    return mag, sums, done.argmax(axis=-1), table
+
+
+def _series_sum(stops, ln_u, m: ChannelModel, ln_w=(0.0, 0.0)):
+    """(value, tail, peak) of _series_stops' sums, with its ln u and weights, for _series_accepts.
+
+    Per row, the value with the misalignment pole, the last term kept (0
+    once the sum has converged) and the largest term.  A value that is not
+    finite, or whose sum runs into the row the table was cut at, is NaN.
+    """
+    mag, sums, first, (*_, e_neg, complete, _, pole_scale) = stops
+    last = np.where(first, first, sums.shape[1] - 1)
+    idx = np.arange(len(sums))
+    val = sums[idx, last]
+    tail = np.where(first, 0.0, mag[:, -1])
+    peak = np.maximum.accumulate(mag, axis=-1)[idx, last]
+    # without pointing xi2 = inf and the misalignment pole is absent
+    if m.pointing is not None:
+        pole = (e_neg * np.exp(m.xi2 * ln_u + ln_w[1]) * m.xi2 / pole_scale).reshape(-1)
+        val += pole
+        if not complete:
+            # near a double pole, this one's partner is the row the table
+            # was cut at: a sum that reaches that row has no value, and any
+            # other is off by about the pole's size
+            val[first == 0] = np.nan
+            tail = np.maximum(tail, np.abs(pole))
+    return np.where(np.isfinite(val), val, np.nan), tail, peak
+
+
+# the stages' errstate: an overflow or a coefficient on a pole gives a NaN value
+_SERIES_ERRORS = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _residue_series(ln_u, m: ChannelModel, cfg: SeriesConfig, orders: tuple, shifts: tuple):
+    """The unweighted series of each (order, shift) pair, as (pairs, ln_u.size) arrays."""
+    with np.errstate(**_SERIES_ERRORS):
+        stops = _series_stops(ln_u, _series_scale(m, cfg.max_terms, orders, shifts))
+        out = _series_sum(stops, ln_u, m)
+    return tuple(v.reshape(len(orders), -1) for v in out)
 
 
 def _series_accepts(val, tail, peak, tol: float):
@@ -688,7 +691,8 @@ def _law_at(c: np.ndarray, m: ChannelModel, *names, cfg: SeriesConfig = _SERIES)
     rule_specs = [specs[n] for n in routed + ("log_pole",) * log_pole]
 
     def series(c):
-        val, tail, peak = _residue_series(c, m, cfg, *zip(*(_LAW[n][:2] for n in routed)))
+        pairs = zip(*(_LAW[n][:2] for n in routed))
+        val, tail, peak = _residue_series(np.log(c / m.a0), m, cfg, *pairs)
         ok = np.empty(val.shape, dtype=bool)
         for i, n in enumerate(routed):
             v, tl, pk = val[i], tail[i], peak[i]
@@ -829,13 +833,12 @@ def mean_log_excess(cutoff: float, m: ChannelModel) -> float:
     """E[(ln(I/cutoff))^+] in nats."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    pdf = _gg_density(m.turbulence)
     lo, xi2 = cutoff / m.a0, m.xi2
     inv_xi2 = 1.0 / xi2
 
     def integrand(t):
         u = lo / t
-        return (inv_xi2 * (u**xi2 - 1.0) - math.log(u)) * pdf(t)
+        return (inv_xi2 * (u**xi2 - 1.0) - math.log(u)) * math.exp(_gg_ln_pdf(t, m.turbulence))
 
     val, _ = quad(integrand, lo, np.inf, **_QUAD_OPTS)
     return val
@@ -850,44 +853,39 @@ _EXP_SINH_LN_T = 0.5 * math.pi * np.sinh(_EXP_SINH_TAU)
 _EXP_SINH_LN_W = np.log(math.pi / 32.0 * np.cosh(_EXP_SINH_TAU))
 
 
+@functools.lru_cache(maxsize=64)
+def _laplace_plan(m: ChannelModel):
+    """The Laplace series' table, orders 0 and -1 at shift 0, and weights ln Gamma at p and xi2."""
+    table = _series_scale(m, _SERIES.max_terms, (0, -1), (0.0, 0.0))
+    ln_w = special.gammaln(table[0])
+    ln_w.setflags(write=False)
+    return table, (ln_w, math.lgamma(m.xi2))
+
+
 def _laplace_series(y: float, m: ChannelModel):
     """E[exp(-s I)] and y d/dy of it, y = s A0, by the residue series in 1/y; NaNs past its guard.
 
     It is the distribution's series transformed term by term through
-    E[exp(-s I)] = s int_0^inf exp(-s c) F(c) dc: the term of the pole p
-    becomes g_k Gamma(p) y^-p / (1 - p/xi2), and the misalignment pole
-    E[I_a^-xi2] Gamma(xi2 + 1) y^-xi2.  It converges for every y, fastest
-    for large y.  The guard is relative, since the value falls to the
-    bottom of the double range.  Each term is a power of y, so y d/dy of
-    the sum is -p times each term kept, and -xi2 times the pole.
+    E[exp(-s I)] = s int_0^inf exp(-s c) F(c) dc: the order-0 series at
+    u = 1/y with each pole p weighted by Gamma(p), converging fastest for
+    large y.  Each term is a power of y, so y d/dy of it is the order -1
+    series, negated.  The guard is relative, since the value falls to the
+    bottom of the double range, and takes no sum that never stopped.
     """
-    p, coeff, ln_g, e_neg, complete = _series_table(m, _SERIES.max_terms)
-    ln_y = math.log(y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = coeff * np.exp(ln_g + special.gammaln(p) - p * ln_y)
-        mag = np.abs(terms).max(axis=-1)
-        sums = terms.sum(axis=-1).cumsum()
-        # <= so that a sum whose terms all underflowed stops at 0
-        done = (np.arange(len(p)) > 0) & (mag <= _SERIES.convergence_tol * np.abs(sums))
-    if not done.any():
-        # terms that still grow at the last row can grow on to meet the
-        # misalignment pole, so an unfinished sum is no bound on the rest
+    table, ln_w = _laplace_plan(m)
+    ln_u = np.array([-math.log(y)])
+    with np.errstate(**_SERIES_ERRORS):
+        mag, _, first, _ = stops = _series_stops(ln_u, table, ln_w)
+        # a sum that never stopped, with terms left, has no value: terms that
+        # still grow at the last row can grow on to meet the misalignment pole
+        if not first[0] and mag[0, -1] > 0.0:
+            return math.nan, math.nan
+        (val, slope), (tail, _), (peak, _) = (v.tolist() for v in _series_sum(stops, ln_u, m, ln_w))
+    if val == 0.0 and peak == 0.0:
+        return 0.0, 0.0  # every term underflowed
+    if not (val > 0.0 and _series_accepts(1.0, tail / val, peak / val, _SERIES_TOL)):
         return math.nan, math.nan
-    last = done.argmax()
-    val, peak, tail = sums[last], mag[: last + 1].max(), 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = -(p[: last + 1] * terms[: last + 1]).sum()
-        if m.pointing is not None:
-            pole = e_neg * np.exp(special.gammaln(m.xi2 + 1.0) - m.xi2 * ln_y)
-            val, peak, slope = val + pole, max(peak, abs(pole)), slope - m.xi2 * pole
-            if not complete:
-                tail = abs(pole)  # its partner, the row the table was cut at, is missing
-    if not 0.0 < val < math.inf:
-        # 0 once every term underflowed
-        return (0.0, 0.0) if peak == 0.0 else (math.nan, math.nan)
-    if not _series_accepts(1.0, tail / val, peak / val, _SERIES_TOL):
-        return math.nan, math.nan
-    return float(val), float(slope)
+    return val, -slope
 
 
 def _laplace_rule(y: float, m: ChannelModel):
@@ -907,9 +905,6 @@ def _laplace_rule(y: float, m: ChannelModel):
     ln_t = math.log(scale) + _EXP_SINH_LN_T
     t = np.exp(ln_t)
     ln_f = _gg_ln_pdf(t, m.turbulence) + ln_t + _EXP_SINH_LN_W
-    # where kve overflows, at the lowest nodes of a large |a - b|, the
-    # density's share is below t^min(a, b) there: those nodes count as nil
-    ln_f[~np.isfinite(ln_f)] = -np.inf
     z = y * t
     if m.pointing is None:
         terms = np.exp(ln_f - z)

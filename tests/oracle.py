@@ -20,8 +20,6 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
-from fso_adapt.channel import _gg_density
-
 _QUAD_OPTS = dict(limit=200, epsabs=1e-13, epsrel=1e-11)
 
 # the tight oracle: relative tolerance only
@@ -30,6 +28,28 @@ TIGHT = dict(limit=500, epsabs=0.0, epsrel=1e-13)
 
 # ---------------------------------------------------------------------------
 # the quadrature forms of the density and the distribution function
+
+
+def _ln_gg_pdf(t: float, alpha: float, beta: float) -> float:
+    """ln f_a(t) from the model's parameters; -inf from z = 2^30 on, where kve is NaN."""
+    z = 2.0 * math.sqrt(alpha * beta * t)
+    k = special.kve(alpha - beta, z)
+    if not k > 0.0:
+        return -math.inf
+    return (
+        math.log(2.0)
+        + 0.5 * (alpha + beta) * math.log(alpha * beta)
+        - math.lgamma(alpha)
+        - math.lgamma(beta)
+        + (0.5 * (alpha + beta) - 1.0) * math.log(t)
+        + math.log(k)
+        - z
+    )
+
+
+def _gg_pdf(t: float, m) -> float:
+    """f_a(t) of the model's turbulence."""
+    return math.exp(_ln_gg_pdf(t, m.alpha, m.beta))
 
 
 def mixture_quad(lo: float, m) -> float:
@@ -42,9 +62,8 @@ def mixture_quad(lo: float, m) -> float:
     split at its edge.
     """
     xi2 = m.pointing.xi2
-    pdf = _gg_density(m.turbulence)
     edge = lo * (1.0 + 50.0 / xi2)
-    weighted = lambda t: pdf(t) * (lo / t) ** xi2
+    weighted = lambda t: _gg_pdf(t, m) * (lo / t) ** xi2
     layer, _ = quad(weighted, lo, edge, **_QUAD_OPTS)
     rest, _ = quad(weighted, edge, np.inf, **_QUAD_OPTS)
     return layer + rest
@@ -66,7 +85,7 @@ def composite_cdf_quad(i: float, m) -> float:
     where the mixture term vanishes without pointing (xi2 = inf).
     """
     lo = i / m.a0
-    head, _ = quad(_gg_density(m.turbulence), 0.0, lo, **_QUAD_OPTS)
+    head, _ = quad(_gg_pdf, 0.0, lo, args=(m,), **_QUAD_OPTS)
     if m.pointing is None:
         return head
     return head + mixture_quad(lo, m)
@@ -74,20 +93,6 @@ def composite_cdf_quad(i: float, m) -> float:
 
 # ---------------------------------------------------------------------------
 # the tight oracle of the tail functionals
-
-
-def _ln_gg_pdf(t: float, alpha: float, beta: float) -> float:
-    """ln f_a(t), written out from the model's parameters."""
-    z = 2.0 * math.sqrt(alpha * beta * t)
-    return (
-        math.log(2.0)
-        + 0.5 * (alpha + beta) * math.log(alpha * beta)
-        - math.lgamma(alpha)
-        - math.lgamma(beta)
-        + (0.5 * (alpha + beta) - 1.0) * math.log(t)
-        + math.log(special.kve(alpha - beta, z))
-        - z
-    )
 
 
 def _tight_tail(lo: float, m, weight) -> float:

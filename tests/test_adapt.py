@@ -174,6 +174,20 @@ class TestPerBlockRelations:
         with pytest.raises(ValueError):
             optimal_power(1.0, 0.0, policy)
 
+    @pytest.mark.parametrize("m, snr", [(4, math.nan), (math.nan, 1.0)])
+    def test_ber_bound_rejects_nan(self, m, snr):
+        with pytest.raises(ValueError, match="must be >= "):
+            ber_bound(m, snr)
+
+    @pytest.mark.parametrize("i, power", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_size_law_rejects_nan(self, policy, i, power):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            constellation_size_law(i, power, policy)
+
+    def test_optimal_power_rejects_nan(self, policy):
+        with pytest.raises(ValueError, match="i must be >= 0"):
+            optimal_power(math.nan, 0.1, policy)
+
 
 class TestContinuousCutoff:
     @pytest.mark.parametrize("key", ["weak_gg", "strong_pe"])

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import kv
+from scipy.special import kv, kve
 from scipy.stats import kstest
 
 from fso_adapt import channel
@@ -15,6 +15,7 @@ from fso_adapt.channel import (
     PointingParams,
     TurbulenceParams,
     Variant,
+    _gg_ln_pdf,
     _gg_mellin,
     _laplace_at,
     _laplace_rule,
@@ -200,6 +201,8 @@ class TestPointingParams:
             PointingParams(a0=1.5, xi2=3.0, rx_beam_waist_m=0.02)
         with pytest.raises(ValueError):
             PointingParams(a0=0.7, xi2=0.0, rx_beam_waist_m=0.02)
+        with pytest.raises(ValueError, match="xi2 must be finite"):
+            PointingParams(a0=0.7, xi2=math.inf, rx_beam_waist_m=0.02)
 
 
 class TestChannelModel:
@@ -217,6 +220,8 @@ class TestChannelModel:
     def test_turbulence_validation(self):
         with pytest.raises(ValueError):
             TurbulenceParams(alpha=-1.0, beta=2.0, rytov_var=0.4)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            TurbulenceParams(alpha=math.inf, beta=2.0, rytov_var=0.4)
 
 
 class TestGgPdf:
@@ -253,6 +258,48 @@ class TestGgPdf:
         assert gg_pdf(0.0, t) == 0.0
         with pytest.raises(ValueError):
             gg_pdf(-0.1, t)
+
+    @staticmethod
+    def small_argument_pdf(x, t):
+        # the density with K_nu(z) at its small-argument form Gamma(n) 2^(n-1) z^-n, n = |nu|
+        a, b = t.alpha, t.beta
+        n, z = abs(a - b), 2.0 * math.sqrt(a * b * x)
+        ln_c = math.log(2.0) + 0.5 * (a + b) * math.log(a * b) - math.lgamma(a) - math.lgamma(b)
+        return math.exp(
+            ln_c + (0.5 * (a + b) - 1.0) * math.log(x)
+            + math.lgamma(n) + (n - 1.0) * math.log(2.0) - n * math.log(z)
+        )
+
+    @pytest.mark.parametrize("sigma_r2, x", [(15.0, 1e-150), (15.0, 1e-300), (5.0, 1e-200),
+                                             (2.0, 1e-300)])
+    def test_finite_where_kve_overflows(self, sigma_r2, x):
+        # scipy's kve is inf here, yet the density is finite, and tends to 0
+        # for beta > 1
+        t = gg_params(sigma_r2)
+        assert kve(t.alpha - t.beta, 2.0 * math.sqrt(t.alpha * t.beta * x)) == math.inf
+        expect = self.small_argument_pdf(x, t)
+        assert gg_pdf(x, t) == pytest.approx(expect, rel=1e-14, abs=0)
+        assert composite_pdf(x, ChannelModel(t)) == pytest.approx(expect, rel=1e-14, abs=0)
+        ln_f = _gg_ln_pdf(np.array([x]), t)[0]
+        assert math.exp(ln_f) == pytest.approx(expect, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("sigma_r2", [2.0, 5.0, 15.0])
+    def test_continuous_across_kve_overflow(self, sigma_r2):
+        # ln x bisected to the edge below which kve overflows; the two
+        # forms meet there to the rounding of ln kve, about 700 at the edge
+        t = gg_params(sigma_r2)
+        nu, four_ab = t.alpha - t.beta, 4.0 * t.alpha * t.beta
+        below, above = math.log(1e-320), 0.0
+        for _ in range(200):
+            mid = 0.5 * (below + above)
+            if kve(nu, math.sqrt(four_ab * math.exp(mid))) == math.inf:
+                below = mid
+            else:
+                above = mid
+        below, above = math.exp(below), math.exp(above)
+        assert kve(nu, math.sqrt(four_ab * below)) == math.inf
+        assert gg_pdf(below, t) == pytest.approx(gg_pdf(above, t), rel=1e-12, abs=0)
+        assert gg_pdf(above, t) == pytest.approx(self.small_argument_pdf(above, t), rel=1e-12)
 
 
 class TestCompositePdf:
@@ -583,7 +630,8 @@ class TestExpectationHelpers:
 
     def test_mean_exp_neg_where_kve_overflows(self):
         # a - b = 39: scipy's kve overflows at the rule's lowest nodes,
-        # where the density is nil; Meijer-G values at 30 digits
+        # where the density takes its small-argument form; Meijer-G values
+        # at 30 digits
         m = ChannelModel(TurbulenceParams(40.0, 1.0, 1.0))
         assert mean_exp_neg(0.5, m) == pytest.approx(0.6685032148568477, rel=1e-12)
         assert mean_exp_neg(50.0, m) == pytest.approx(0.0200901060712569, rel=1e-12)

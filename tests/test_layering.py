@@ -7,11 +7,17 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fso_adapt"
 
-# the residue series, its guard, the series-or-rule router, the tail rule
-# and its node cap, the per-model law constants, the rational E[1/I] and
-# the Laplace transform's two routes are channel's own building blocks
+# the residue series, its table, stages and guard, the series-or-rule
+# router, the tail rule and its node cap, the per-model law constants, the
+# rational E[1/I] and the Laplace transform's two routes and series weight
+# are channel's own building blocks
 ENGINE = {
     "_residue_series",
+    "_series_table",
+    "_series_scale",
+    "_series_stops",
+    "_series_sum",
+    "_SERIES_ERRORS",
     "_series_accepts",
     "_series_or_rule",
     "_tail_rule",
@@ -20,7 +26,7 @@ ENGINE = {
     "_SERIES",
     "_SERIES_TOL",
     "_inv_moment",
-    "_misalignment",
+    "_laplace_plan",
     "_laplace_series",
     "_laplace_rule",
 }
